@@ -10,10 +10,11 @@ use spm_cache::{Cache, CacheConfig};
 use spm_core::predict::{MarkovPredictor, PhasePredictor};
 use spm_core::{select_markers, CallLoopProfiler, SelectConfig};
 use spm_reuse::{detect_boundaries, sequitur, ReuseTracker};
-use spm_sim::record::{replay, TraceRecorder};
 use spm_sim::run;
 use spm_simpoint::kmeans;
+use spm_store::{StoreReader, StoreWriter};
 use spm_workloads::build;
+use std::io::Cursor;
 
 fn bench_callloop_profile(c: &mut Criterion) {
     let w = build("gzip").expect("gzip");
@@ -130,18 +131,20 @@ fn bench_trace_record_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace");
     let instrs = run(&w.program, &w.train_input, &mut []).unwrap().instrs;
     group.throughput(Throughput::Elements(instrs));
-    group.bench_function("record_art_train", |b| {
-        b.iter(|| {
-            let mut recorder = TraceRecorder::new();
-            run(&w.program, &w.train_input, &mut [&mut recorder]).unwrap();
-            recorder.byte_len()
-        })
-    });
-    let mut recorder = TraceRecorder::new();
-    run(&w.program, &w.train_input, &mut [&mut recorder]).unwrap();
-    let trace = recorder.into_bytes();
+    let record = || {
+        let mut writer = StoreWriter::new(Vec::new());
+        run(&w.program, &w.train_input, &mut [&mut writer]).unwrap();
+        let outcome = writer.finish_with_sink();
+        outcome.result.unwrap();
+        outcome.sink
+    };
+    group.bench_function("record_art_train", |b| b.iter(|| record().len()));
+    let store = record();
     group.bench_function("replay_art_train", |b| {
-        b.iter(|| replay(&trace, &mut []).unwrap())
+        b.iter(|| {
+            let mut reader = StoreReader::new(Cursor::new(&store[..])).unwrap();
+            reader.replay(&mut []).unwrap().events
+        })
     });
     group.finish();
 }

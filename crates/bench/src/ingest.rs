@@ -1,12 +1,12 @@
-//! Ingest-throughput figure: one recorded event stream decoded six
-//! ways — flat `spmtrc02` replay, sequential `spmstk01` store replay
-//! through the legacy per-event virtual-dispatch path, the same replay
-//! with batched observer delivery (the production hot path), parallel
-//! store replay, sequential replay of an LZ-compressed container, and
-//! recovery-path replay of a store whose ingest was killed mid-write by
-//! the seeded [`spm_store::FaultyIo`] failpoint disk (the crash-safety
-//! overhead of DESIGN.md §12: transient-retry absorption on the way in,
-//! torn-tail recovery on the way out).
+//! Ingest-throughput figure: one recorded event stream decoded five
+//! ways — sequential `spmstk01` store replay through the legacy
+//! per-event virtual-dispatch path, the same replay with batched
+//! observer delivery (the production hot path), parallel store replay,
+//! sequential replay of an LZ-compressed container, and recovery-path
+//! replay of a store whose ingest was killed mid-write by the seeded
+//! [`spm_store::FaultyIo`] failpoint disk (the crash-safety overhead of
+//! DESIGN.md §12: transient-retry absorption on the way in, torn-tail
+//! recovery on the way out).
 //!
 //! Timed regions measure decode work only: containers are built,
 //! written to disk, and readers opened (file open, memory-map, header
@@ -17,16 +17,16 @@
 //! page cache when the platform maps them.
 //!
 //! The rendered text contains only deterministic facts (event counts,
-//! byte sizes, block count, container overhead, recovered prefix and
-//! retry counts — the fault schedule is seeded) so CI can byte-compare
-//! it as a golden; wall-clock throughput is machine-dependent and is
-//! emitted as `ingest/<decoder>_events_per_sec` gauges instead, which
+//! byte sizes, block count, container overhead over the encoded event
+//! payload, recovered prefix and retry counts — the fault schedule is
+//! seeded) so CI can byte-compare it as a golden; wall-clock throughput
+//! is machine-dependent and is emitted as
+//! `ingest/<decoder>_events_per_sec` gauges instead, which
 //! `all_figures` folds into the `ingest` section of
 //! `results/BENCH_report.json`.
 
 use crate::{analysis_error, workload};
 use spm_core::SpmError;
-use spm_sim::record::{replay, TraceRecorder};
 use spm_sim::{run, TraceEvent, TraceObserver};
 use spm_store::{Compression, FaultPlan, FaultyIo, RetryPolicy, StoreReader, StoreWriter};
 use std::io::Cursor;
@@ -38,8 +38,7 @@ pub const INGEST_WORKLOAD: &str = "gzip";
 /// The measured decode paths, in report order. `store` keeps the
 /// legacy one-virtual-call-per-event delivery as the regression
 /// baseline; `store-batch` is the production batched path.
-pub const DECODERS: [&str; 6] = [
-    "flat",
+pub const DECODERS: [&str; 5] = [
     "store",
     "store-batch",
     "store-par",
@@ -93,8 +92,9 @@ pub struct IngestData {
     pub events: u64,
     /// Instructions simulated to produce it.
     pub instructions: u64,
-    /// Flat `spmtrc02` trace size in bytes.
-    pub flat_bytes: u64,
+    /// Encoded event payload bytes across the container's blocks (the
+    /// codec bytes alone, without framing, index, or footer).
+    pub payload_bytes: u64,
     /// `spmstk01` container size in bytes.
     pub store_bytes: u64,
     /// LZ-compressed `spmstk01` container size in bytes.
@@ -106,7 +106,7 @@ pub struct IngestData {
     /// recovers the committed prefix of an ingest killed mid-write, so
     /// it is at most `events` and at least the crash-time commit
     /// watermark.
-    pub decoded: [u64; 6],
+    pub decoded: [u64; 5],
     /// Events the writer had durably committed when the faulted ingest
     /// was killed (the floor for `decoded[store-faulted]`).
     pub faulted_committed: u64,
@@ -170,30 +170,18 @@ fn timed_decode(
 /// the freshly written containers surface as [`SpmError::Analysis`].
 pub fn compute() -> Result<IngestData, SpmError> {
     let w = workload(INGEST_WORKLOAD)?;
-    let mut recorder = TraceRecorder::new();
     let mut store_buf = Vec::new();
     let mut writer = StoreWriter::new(&mut store_buf);
     writer.set_block_dims(w.program.block_sizes().len() as u32);
     let mut lz_buf = Vec::new();
     let mut lz_writer = StoreWriter::new(&mut lz_buf).compression(Compression::Lz);
-    let summary = run(
-        &w.program,
-        &w.ref_input,
-        &mut [&mut recorder, &mut writer, &mut lz_writer],
-    )?;
+    let summary = run(&w.program, &w.ref_input, &mut [&mut writer, &mut lz_writer])?;
     let packed = writer
         .finish()
         .map_err(|e| analysis_error("ingest/pack", e))?;
     let lz_packed = lz_writer
         .finish()
         .map_err(|e| analysis_error("ingest/pack-compressed", e))?;
-    let flat = recorder.into_bytes();
-
-    let flat_decoded = timed_decode("flat", packed.events, || {
-        let mut count = Count(0);
-        replay(&flat, &mut [&mut count]).map_err(|e| analysis_error("ingest/flat", e))?;
-        Ok(count.0)
-    })?;
 
     // Legacy path: batched decode, but one virtual call per event at
     // the observer boundary.
@@ -252,7 +240,7 @@ pub fn compute() -> Result<IngestData, SpmError> {
     // rebuild, torn-tail discard) before replaying the committed
     // prefix. The open — including the recovery walk — happens before
     // the clock starts, like every other row's setup.
-    let (torn, faulted_committed, faulted_retries) = faulted_pack(&flat)?;
+    let (torn, faulted_committed, faulted_retries) = faulted_pack(&w)?;
     let mut reader = StoreReader::new(Cursor::new(torn))
         .map_err(|e| analysis_error("ingest/store-faulted", e))?;
     let recovered = reader.info().events;
@@ -274,12 +262,11 @@ pub fn compute() -> Result<IngestData, SpmError> {
     Ok(IngestData {
         events: packed.events,
         instructions: summary.instrs,
-        flat_bytes: flat.len() as u64,
+        payload_bytes: packed.payload_bytes,
         store_bytes: packed.file_bytes,
         compressed_bytes: lz_packed.file_bytes,
         blocks: packed.blocks,
         decoded: [
-            flat_decoded,
             store_decoded,
             batch_decoded,
             par_decoded,
@@ -291,18 +278,18 @@ pub fn compute() -> Result<IngestData, SpmError> {
     })
 }
 
-/// Repacks a recorded flat trace through [`FaultyIo`]: one clean pass
+/// Packs the workload's `ref` run through [`FaultyIo`]: one clean pass
 /// to count I/O operations, then the measured pass with seeded
 /// transients and a kill at 3/4 of those operations. Returns the torn
 /// image, the commit watermark at the kill, and the retries absorbed.
-fn faulted_pack(flat: &[u8]) -> Result<(Vec<u8>, u64, u64), SpmError> {
+fn faulted_pack(w: &spm_workloads::Workload) -> Result<(Vec<u8>, u64, u64), SpmError> {
     let no_backoff = RetryPolicy {
         max_retries: 3,
         base_delay: std::time::Duration::ZERO,
     };
     let mut writer =
         StoreWriter::new(FaultyIo::new(FaultPlan::new(FAULT_SEED))).retry_policy(no_backoff);
-    replay(flat, &mut [&mut writer]).map_err(|e| analysis_error("ingest/faulted-count", e))?;
+    run(&w.program, &w.ref_input, &mut [&mut writer])?;
     let outcome = writer.finish_with_sink();
     outcome
         .result
@@ -313,7 +300,7 @@ fn faulted_pack(flat: &[u8]) -> Result<(Vec<u8>, u64, u64), SpmError> {
         .transient_one_in(TRANSIENT_ONE_IN)
         .crash_at_op(clean_ops * 3 / 4);
     let mut writer = StoreWriter::new(FaultyIo::new(plan)).retry_policy(no_backoff);
-    replay(flat, &mut [&mut writer]).map_err(|e| analysis_error("ingest/faulted-pack", e))?;
+    run(&w.program, &w.ref_input, &mut [&mut writer])?;
     let outcome = writer.finish_with_sink();
     if outcome.result.is_ok() {
         return Err(analysis_error(
@@ -328,12 +315,11 @@ fn faulted_pack(flat: &[u8]) -> Result<(Vec<u8>, u64, u64), SpmError> {
 
 /// Renders the figure. Every line is deterministic across machines.
 pub fn render(d: &IngestData) -> String {
-    let overhead = d.store_bytes as f64 / d.flat_bytes.max(1) as f64;
-    let mut out =
-        format!("# Ingest: flat spmtrc02 vs spmstk01 store decode ({INGEST_WORKLOAD}/ref)\n");
+    let overhead = d.store_bytes as f64 / d.payload_bytes.max(1) as f64;
+    let mut out = format!("# Ingest: spmstk01 store decode ({INGEST_WORKLOAD}/ref)\n");
     out.push_str(&format!("events\t{}\n", d.events));
     out.push_str(&format!("instructions\t{}\n", d.instructions));
-    out.push_str(&format!("flat_bytes\t{}\n", d.flat_bytes));
+    out.push_str(&format!("payload_bytes\t{}\n", d.payload_bytes));
     out.push_str(&format!(
         "store_bytes\t{}\tcontainer_overhead\t{overhead:.4}\n",
         d.store_bytes
@@ -398,9 +384,9 @@ mod tests {
         assert!(d.faulted_committed > 0, "kill too early: nothing durable");
         assert!(d.faulted_retries > 0, "no transients injected");
         // The container pays per-block framing plus a footer index but
-        // no more: well under 20% over the flat encoding.
+        // no more: well under 20% over the encoded events themselves.
         assert!(d.store_bytes > 0);
-        let overhead = d.store_bytes as f64 / d.flat_bytes as f64;
+        let overhead = d.store_bytes as f64 / d.payload_bytes as f64;
         assert!(overhead < 1.2, "container overhead {overhead:.3} too high");
     }
 

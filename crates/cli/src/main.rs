@@ -10,9 +10,8 @@
 //! spm structure <workload> [--ilower N]
 //! spm explain <workload> [--input train|ref] [--ilower N] [--limit N]
 //! spm timeseries <workload> [--input train|ref] [--step N] [--plot]
-//! spm record <workload> [--input train|ref] --out FILE
-//! spm replay <tracefile>
-//! spm pack <workload|tracefile> --out FILE.spmstk [--block-size N] [--sync none|block|close] [--compress] [--input train|ref]
+//! spm pack|record <workload> --out FILE.spmstk [--block-size N] [--sync none|block|close] [--compress] [--input train|ref]
+//! spm replay <file.spmstk>
 //! spm info <file.spmstk>
 //! spm report <metrics.jsonl>... [--html FILE] [--folded FILE]
 //! spm report --baseline A.jsonl --candidate B.jsonl [--threshold PCT] [--min-us N] [--html FILE]
@@ -36,14 +35,18 @@
 //!
 //! # Trace stores
 //!
-//! `pack` converts a workload run (or an existing flat `spmtrc` trace)
-//! into a block-based `spmstk01` container; `info` prints its index
-//! summary. `select`, `partition`, and `simpoint` accept a store
-//! anywhere a workload is accepted — via `--store FILE` or simply by
-//! passing a `.spmstk` file (detected by extension or magic) — and run
-//! the same analyses off the container with bounded memory, decoding
-//! blocks in parallel. A corrupted block degrades to a structured
-//! `store/skipped-block` warning instead of failing the run.
+//! `pack` (or its alias `record`) runs a workload into a block-based
+//! `spmstk01` container, the one on-disk trace format; `info` prints
+//! its index summary and `replay` its timing-model summary. `replay`
+//! recovers a torn or damaged store like every other reader does: a
+//! `store=recovered` or `store=degraded` warning and exit 0, or exit 8
+//! when the file is not a readable store. `select`, `partition`, and
+//! `simpoint` accept a store anywhere a workload is accepted — via
+//! `--store FILE` or simply by passing a `.spmstk` file (detected by
+//! extension or magic) — and run the same analyses off the container
+//! with bounded memory, decoding blocks in parallel. A corrupted block
+//! degrades to a structured `store/skipped-block` warning instead of
+//! failing the run.
 //!
 //! # Run corpus
 //!
@@ -137,7 +140,7 @@ use spm_core::{
     MarkerSet, SelectConfig, SpmError, Vli,
 };
 use spm_ir::{parse_workload, DslError, Input, Program};
-use spm_sim::{run, Timeline, TraceEvent, TraceObserver};
+use spm_sim::{run, Timeline, TraceObserver};
 use spm_store::{StoreError, StoreReader, StoreWriter};
 use spm_workloads::{build, ALL_NAMES};
 use std::process::ExitCode;
@@ -224,9 +227,8 @@ fn main() -> ExitCode {
             "explain" => cmd_explain(&parsed),
             "export" => cmd_export(&parsed),
             "timeseries" => cmd_timeseries(&parsed),
-            "record" => cmd_record(&parsed),
+            "record" | "pack" => cmd_pack(&parsed),
             "replay" => cmd_replay(&parsed),
-            "pack" => cmd_pack(&parsed),
             "info" => cmd_info(&parsed),
             "report" => cmd_report(&parsed),
             "corpus" => cmd_corpus(&parsed),
@@ -341,10 +343,10 @@ USAGE:
   spm explain <workload> [--input train|ref] [--ilower N] [--limit N]
   spm export <workload>
   spm timeseries <workload> [--input train|ref] [--step N] [--plot]
-  spm record <workload> [--input train|ref] --out FILE
-  spm replay <tracefile>
-  spm pack <workload|tracefile> --out FILE.spmstk [--block-size N]
+  spm pack <workload> --out FILE.spmstk [--block-size N]
            [--sync none|block|close] [--compress] [--input train|ref]
+  spm record ...      (same as `spm pack`)
+  spm replay <file.spmstk>
   spm info <file.spmstk>
   spm report <metrics.jsonl>... [--html FILE] [--folded FILE]
   spm report --baseline A.jsonl --candidate B.jsonl [--threshold PCT]
@@ -364,7 +366,7 @@ USAGE:
              [--sessions N] [--block-size N] [--input train|ref] [--jobs N]
 
 FLAGS:
-  --out FILE          where `record` writes the trace (and `pack` the store)
+  --out FILE          where `pack` (alias `record`) writes the store
   --store FILE        run select/partition/simpoint off an spmstk01 store
                       instead of executing the workload; .spmstk files
                       given positionally are detected automatically
@@ -1156,76 +1158,15 @@ fn cmd_structure(parsed: &ParsedArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_record(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let w = workload(parsed)?;
-    let input = input_of(&w, parsed, "ref")?;
-    let out = parsed
-        .flags
-        .get("out")
-        .ok_or_else(|| CliError::Usage("record requires --out FILE".into()))?
-        .clone();
-    let mut recorder = spm_sim::record::TraceRecorder::new();
-    let summary = run(&w.program, &input, &mut [&mut recorder]).map_err(SpmError::Run)?;
-    let events = recorder.events();
-    let bytes = recorder.into_bytes();
-    std::fs::write(&out, &bytes).map_err(|e| SpmError::Io {
-        path: out.clone(),
-        message: e.to_string(),
-    })?;
-    eprintln!(
-        "recorded {} events ({} instructions) into {out} ({} bytes)",
-        events,
-        summary.instrs,
-        bytes.len()
-    );
-    Ok(())
-}
-
-/// Mirrors the library's structured `trace/unverified-v1` warning onto
-/// stderr for headerless legacy traces. Calling it here first means the
-/// CLI's stderr line and the recorded event stay a single occurrence:
-/// the library's own later call dedupes against this one.
-fn warn_unverified_v1(bytes: &[u8]) {
-    if bytes.starts_with(b"spmtrc01") && spm_obs::warning("trace/unverified-v1", &[]) {
-        eprintln!("warning: legacy spmtrc01 trace has no checksum; integrity not verified");
-    }
-}
-
 fn cmd_replay(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let path = parsed.positional("tracefile")?;
-    let bytes = std::fs::read(path).map_err(|e| SpmError::Io {
-        path: path.to_string(),
-        message: e.to_string(),
-    })?;
-    warn_unverified_v1(&bytes);
+    let path = parsed.positional("storefile")?;
+    let mut err = String::new();
+    let mut reader = open_store(path, &mut err)?;
     let mut timing = spm_sim::TimingModel::default();
-    let events = match spm_sim::record::replay(&bytes, &mut [&mut timing]) {
-        Ok(events) => events,
-        Err(error) => {
-            // Strict replay refused the trace; recover and report the
-            // longest valid prefix so a damaged file is still usable.
-            let mut prefix_timing = spm_sim::TimingModel::default();
-            let report = spm_sim::record::replay_prefix(&bytes, &mut [&mut prefix_timing]);
-            eprintln!(
-                "warning: recovered valid prefix: {} events, {} of {} bytes",
-                report.events,
-                report.valid_bytes,
-                bytes.len()
-            );
-            if let (Some(offset), Some(record)) = (report.error_offset, report.error_record) {
-                eprintln!(
-                    "warning: first undecodable record: index {record} at byte offset {offset}"
-                );
-            }
-            return Err(SpmError::Trace {
-                source: path.to_string(),
-                error,
-            }
-            .into());
-        }
-    };
+    let report = store_replay(&mut reader, &mut [&mut timing], path, &mut err)?;
+    eprint!("{err}");
     println!("trace: {path}");
-    println!("  events:        {events}");
+    println!("  events:        {}", report.events);
     println!("  instructions:  {}", timing.instrs());
     println!("  CPI:           {:.4}", timing.cpi());
     println!("  DL1 miss rate: {:.4}", timing.dl1_miss_rate());
@@ -1237,54 +1178,16 @@ fn cmd_replay(parsed: &ParsedArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Tracks the static block-id space seen in a trace, sizing the store
-/// footer's `block_dims` when packing from a flat trace (no program).
-#[derive(Default)]
-struct BlockDims(u32);
-
-impl TraceObserver for BlockDims {
-    fn on_event(&mut self, _icount: u64, event: &TraceEvent) {
-        if let TraceEvent::BlockExec { block, .. } = event {
-            self.0 = self.0.max(block.0 + 1);
-        }
-    }
-}
-
-/// Feeds the pack source (flat trace file or workload run) through the
-/// writer. A flat trace file repacks directly; anything else is a
-/// workload (built-in or DSL file) executed through the writer.
+/// Runs the workload (built-in or DSL file) through the writer.
 fn pack_feed<S: spm_store::StoreIo>(
     writer: &mut StoreWriter<S>,
     parsed: &ParsedArgs,
     name: &str,
 ) -> Result<(), CliError> {
-    let is_flat_trace = std::path::Path::new(name).is_file()
-        && std::fs::File::open(name)
-            .and_then(|mut f| {
-                let mut magic = [0u8; 6];
-                std::io::Read::read_exact(&mut f, &mut magic)?;
-                Ok(&magic == b"spmtrc")
-            })
-            .unwrap_or(false);
-    if is_flat_trace {
-        let bytes = std::fs::read(name).map_err(|e| SpmError::Io {
-            path: name.to_string(),
-            message: e.to_string(),
-        })?;
-        warn_unverified_v1(&bytes);
-        let mut dims = BlockDims::default();
-        let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut *writer, &mut dims];
-        spm_sim::record::replay(&bytes, &mut observers).map_err(|error| SpmError::Trace {
-            source: name.to_string(),
-            error,
-        })?;
-        writer.set_block_dims(dims.0);
-    } else {
-        let w = target(name)?;
-        let input = input_of(&w, parsed, "ref")?;
-        writer.set_block_dims(w.program.block_sizes().len() as u32);
-        run(&w.program, &input, &mut [&mut *writer]).map_err(SpmError::Run)?;
-    }
+    let w = target(name)?;
+    let input = input_of(&w, parsed, "ref")?;
+    writer.set_block_dims(w.program.block_sizes().len() as u32);
+    run(&w.program, &input, &mut [&mut *writer]).map_err(SpmError::Run)?;
     Ok(())
 }
 
@@ -1304,7 +1207,7 @@ fn pack_summary_line(out: &str, summary: &spm_store::StoreSummary) -> String {
 }
 
 fn cmd_pack(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let name = parsed.positional("workload|tracefile")?;
+    let name = parsed.positional("workload")?;
     let out = parsed
         .flags
         .get("out")

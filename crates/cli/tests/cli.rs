@@ -344,27 +344,37 @@ fn exit_codes_dispatch_by_failure_class() {
 }
 
 #[test]
-fn replay_reports_valid_prefix_of_truncated_trace() {
-    let trace = tmp("prefix-trace.bin");
+fn replay_recovers_the_committed_prefix_of_a_truncated_store() {
+    let trace = tmp("prefix-trace.spmstk");
     let out = spm(&[
         "record",
         "art",
         "--input",
         "train",
+        "--block-size",
+        "4096",
         "--out",
         trace.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
+    let full = spm(&["replay", trace.to_str().unwrap()]);
+    assert!(full.status.success(), "{}", stderr(&full));
 
-    // Chop bytes off the tail: the header's declared payload length no
-    // longer matches, so strict replay must fail with the trace-decode
-    // exit code while still reporting how much of the file is valid.
+    // Chop bytes off the tail: the footer is gone, so the reader
+    // rebuilds the index from the block frames and replays the
+    // committed prefix, warning once and exiting 0.
     let bytes = std::fs::read(&trace).unwrap();
-    std::fs::write(&trace, &bytes[..bytes.len() - 7]).unwrap();
+    std::fs::write(&trace, &bytes[..bytes.len() / 2]).unwrap();
     let out = spm(&["replay", trace.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(8), "{}", stderr(&out));
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let err = stderr(&out);
-    assert!(err.contains("recovered valid prefix"), "{err}");
-    assert!(err.contains("error[trace-decode]"), "{err}");
+    assert!(err.starts_with("warning: store=recovered "), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    let events = |text: &str| -> u64 {
+        let line = text.lines().find(|l| l.contains("events:")).unwrap();
+        line.split_whitespace().last().unwrap().parse().unwrap()
+    };
+    let recovered = events(&stdout(&out));
+    assert!(recovered > 0 && recovered < events(&stdout(&full)));
     std::fs::remove_file(&trace).ok();
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `spmstk01` store through the binary:
-//! `pack`, `info`, store auto-detection on the analysis commands,
-//! byte-identity with the flat paths, and corruption degradation.
+//! `pack`/`record`, `info`, `replay`, store auto-detection on the
+//! analysis commands, byte-identity with the engine paths, and
+//! corruption degradation.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -90,12 +91,12 @@ fn pack_and_info_over_committed_workloads() {
 }
 
 #[test]
-fn select_from_store_is_byte_identical_to_flat() {
+fn select_from_store_is_byte_identical_to_engine() {
     for (i, rel) in WORKLOAD_FILES.iter().enumerate() {
         let wl = workload_path(rel);
         let store = pack(&wl, "train", &format!("sel-{i}.spmstk"));
-        let flat = spm(&["select", &wl]);
-        assert!(flat.status.success(), "{rel}: {}", stderr(&flat));
+        let engine = spm(&["select", &wl]);
+        assert!(engine.status.success(), "{rel}: {}", stderr(&engine));
         for jobs in ["1", "4"] {
             let stored = spm(&[
                 "select",
@@ -107,12 +108,12 @@ fn select_from_store_is_byte_identical_to_flat() {
             assert!(stored.status.success(), "{rel}: {}", stderr(&stored));
             assert_eq!(
                 stdout(&stored),
-                stdout(&flat),
+                stdout(&engine),
                 "{rel}: store select differs at --jobs {jobs}"
             );
             assert_eq!(
                 stderr(&stored),
-                stderr(&flat),
+                stderr(&engine),
                 "{rel}: store select stderr differs at --jobs {jobs}"
             );
         }
@@ -121,14 +122,14 @@ fn select_from_store_is_byte_identical_to_flat() {
 }
 
 #[test]
-fn simpoint_from_store_matches_flat() {
+fn simpoint_from_store_matches_engine() {
     let wl = workload_path("workloads/example.spm");
     let store = pack(&wl, "ref", "simpoint.spmstk");
-    let flat = spm(&["simpoint", &wl]);
-    assert!(flat.status.success(), "{}", stderr(&flat));
+    let engine = spm(&["simpoint", &wl]);
+    assert!(engine.status.success(), "{}", stderr(&engine));
     let stored = spm(&["simpoint", store.to_str().expect("utf8")]);
     assert!(stored.status.success(), "{}", stderr(&stored));
-    assert_eq!(stdout(&stored), stdout(&flat));
+    assert_eq!(stdout(&stored), stdout(&engine));
     std::fs::remove_file(&store).ok();
 }
 
@@ -177,59 +178,72 @@ fn corrupt_block_degrades_to_warning_and_exit_zero() {
 }
 
 #[test]
-fn store_files_are_rejected_as_flat_traces_with_typed_error() {
-    let wl = workload_path("workloads/example.spm");
-    let store = pack(&wl, "train", "notflat.spmstk");
-    let out = spm(&["replay", store.to_str().expect("utf8")]);
-    assert!(!out.status.success());
+fn replay_rejects_non_stores_with_one_typed_error_line() {
+    // Bytes in the retired flat-trace layout: magic, then the event
+    // count, payload length, and checksum words, then a payload.
+    let mut flat = b"spmtrc02".to_vec();
+    flat.extend([0u8; 24]);
+    flat.extend([11, 0]);
+    let file = tmp("old-flat.bin");
+    std::fs::write(&file, &flat).expect("write non-store");
+    let out = spm(&["replay", file.to_str().expect("utf8")]);
     assert_eq!(out.status.code(), Some(8), "trace-decode exit code");
-    std::fs::remove_file(&store).ok();
+    let err = stderr(&out);
+    let lines: Vec<&str> = err.lines().collect();
+    assert_eq!(lines.len(), 1, "exactly one stderr line: {err}");
+    assert!(lines[0].starts_with("error[trace-decode]: "), "{err}");
+    assert!(lines[0].contains("spmstk01"), "must name the format: {err}");
+    assert!(
+        !err.contains("recovered"),
+        "no recovery on a non-store: {err}"
+    );
+    assert!(stdout(&out).is_empty());
+    std::fs::remove_file(&file).ok();
 }
 
 #[test]
-fn pack_repacks_flat_traces_and_warns_on_v1() {
-    let trace = tmp("flat.spmtrc");
-    let out = spm(&["record", "mgrid", "--out", trace.to_str().expect("utf8")]);
-    assert!(out.status.success(), "{}", stderr(&out));
-
-    // Repack the flat trace into a store; analyses then agree.
-    let store = tmp("repacked.spmstk");
+fn record_and_pack_write_identical_stores() {
+    let wl = workload_path("workloads/example.spm");
+    let packed = pack(&wl, "train", "via-pack.spmstk");
+    let recorded = tmp("via-record.spmstk");
     let out = spm(&[
-        "pack",
-        trace.to_str().expect("utf8"),
+        "record",
+        &wl,
+        "--input",
+        "train",
         "--out",
-        store.to_str().expect("utf8"),
+        recorded.to_str().expect("utf8"),
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let info = spm(&["info", store.to_str().expect("utf8")]);
-    assert!(info.status.success());
-    assert!(
-        stdout(&info).contains("format:        spmstk01"),
-        "{}",
-        stdout(&info)
+    assert_eq!(
+        std::fs::read(&recorded).expect("read recorded"),
+        std::fs::read(&packed).expect("read packed"),
+        "record is pack under another name"
     );
+    std::fs::remove_file(&packed).ok();
+    std::fs::remove_file(&recorded).ok();
+}
 
-    // A headerless v1 trace still packs, with the unverified warning.
-    let bytes = std::fs::read(&trace).expect("read trace");
-    let mut v1 = b"spmtrc01".to_vec();
-    v1.extend_from_slice(&bytes[32..]); // strip the v2 header
-    let v1_path = tmp("flat-v1.spmtrc");
-    std::fs::write(&v1_path, &v1).expect("write v1 trace");
+#[test]
+fn pack_reads_workloads_only() {
+    // Trace files are no longer a pack source: a file argument is a
+    // workload in the text DSL, and these bytes do not parse as one.
+    let file = tmp("pack-source.bin");
+    std::fs::write(&file, b"spmtrc02 not a workload").expect("write file");
+    let store = tmp("pack-source.spmstk");
     let out = spm(&[
         "pack",
-        v1_path.to_str().expect("utf8"),
+        file.to_str().expect("utf8"),
         "--out",
         store.to_str().expect("utf8"),
     ]);
-    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(out.status.code(), Some(4), "{}", stderr(&out));
     assert!(
-        stderr(&out).contains("no checksum; integrity not verified"),
-        "v1 warning missing: {}",
+        stderr(&out).contains("error[workload-parse]"),
+        "{}",
         stderr(&out)
     );
-
-    std::fs::remove_file(&trace).ok();
-    std::fs::remove_file(&v1_path).ok();
+    std::fs::remove_file(&file).ok();
     std::fs::remove_file(&store).ok();
 }
 
@@ -422,48 +436,52 @@ fn info_reports_durability_sync_policy_and_watermarks() {
 }
 
 #[test]
-fn replay_of_v1_trace_warns_once_on_stderr() {
-    let trace = tmp("replay-v1.spmtrc");
-    let out = spm(&["record", "mgrid", "--out", trace.to_str().expect("utf8")]);
+fn replay_recovers_torn_and_degrades_damaged_stores() {
+    let wl = workload_path("workloads/example.spm");
+    let clean = pack(&wl, "train", "replay-clean.spmstk");
+    let out = spm(&["replay", clean.to_str().expect("utf8")]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let bytes = std::fs::read(&trace).expect("read trace");
-    let mut v1 = b"spmtrc01".to_vec();
-    v1.extend_from_slice(&bytes[32..]);
-    std::fs::write(&trace, &v1).expect("write v1 trace");
+    assert!(
+        stderr(&out).is_empty(),
+        "clean replay warns: {}",
+        stderr(&out)
+    );
+    let text = stdout(&out);
+    for field in [
+        "events:",
+        "instructions:",
+        "CPI:",
+        "DL1 miss rate:",
+        "mispredicts:",
+    ] {
+        assert!(text.contains(field), "summary missing {field}: {text}");
+    }
 
-    let out = spm(&["replay", trace.to_str().expect("utf8")]);
+    // A torn store replays its committed prefix, with the recovery
+    // warning every other reader prints.
+    let torn = pack_torn(&wl, "replay-torn.spmstk", "seed=5,crash-at-op=31");
+    let out = spm(&["replay", torn.to_str().expect("utf8")]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stderr(&out).starts_with("warning: store=recovered "),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).contains("events:"));
+
+    // A damaged block costs that block: degraded warning, exit 0.
+    let mut bytes = std::fs::read(&clean).expect("read store");
+    bytes[16 + 40 + 64] ^= 0x55;
+    std::fs::write(&clean, &bytes).expect("write damaged store");
+    let out = spm(&["replay", clean.to_str().expect("utf8")]);
     assert!(out.status.success(), "{}", stderr(&out));
     let err = stderr(&out);
-    assert_eq!(
-        err.matches("integrity not verified").count(),
-        1,
-        "v1 warning must appear exactly once: {err}"
-    );
-    std::fs::remove_file(&trace).ok();
-}
-
-#[test]
-fn replay_reports_offset_of_first_undecodable_record() {
-    let trace = tmp("truncated.spmtrc");
-    let out = spm(&["record", "mgrid", "--out", trace.to_str().expect("utf8")]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let bytes = std::fs::read(&trace).expect("read trace");
-    // Chop mid-payload: strict replay fails, prefix recovery reports
-    // where decoding stopped.
-    std::fs::write(&trace, &bytes[..bytes.len() - 7]).expect("truncate");
-
-    let out = spm(&["replay", trace.to_str().expect("utf8")]);
-    assert!(!out.status.success());
-    let err = stderr(&out);
     assert!(
-        err.contains("recovered valid prefix"),
-        "prefix warning missing: {err}"
+        err.contains("warning: store=degraded skipped_blocks=1"),
+        "{err}"
     );
-    assert!(
-        err.contains("first undecodable record: index ") && err.contains("at byte offset "),
-        "offset warning missing: {err}"
-    );
-    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&clean).ok();
+    std::fs::remove_file(&torn).ok();
 }
 
 #[test]

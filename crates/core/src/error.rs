@@ -4,7 +4,8 @@
 //! [`ParseError`](crate::text::ParseError) for the text formats,
 //! [`DslError`](spm_ir::DslError) for workload files,
 //! [`RunError`](spm_sim::RunError) for execution,
-//! [`DecodeError`](spm_sim::record::DecodeError) for recorded traces),
+//! [`DecodeError`](spm_sim::record::DecodeError) for `spmstk01` trace
+//! stores and the event codec inside them),
 //! and [`SpmError`] is the umbrella the CLI and other drivers use: one
 //! variant per stage, each carrying enough structured context (path,
 //! workload, byte offset, event index) to localize the failure, and a

@@ -64,15 +64,13 @@ pub fn render(run: &Run) -> String {
         ),
     );
 
-    // Throughput gauges (median across occurrences).
-    for name in ["sim/events_per_sec", "sim/replay_events_per_sec"] {
-        let mut values = run.gauges(name);
-        if let Some(m) = median(&mut values) {
-            push_line(
-                &mut out,
-                &format!("{name}: median {m:.0} (n={})", values.len()),
-            );
-        }
+    // Simulator throughput gauge (median across occurrences).
+    let mut values = run.gauges("sim/events_per_sec");
+    if let Some(m) = median(&mut values) {
+        push_line(
+            &mut out,
+            &format!("sim/events_per_sec: median {m:.0} (n={})", values.len()),
+        );
     }
 
     // Selection: marker counts and the CoV-threshold inputs.

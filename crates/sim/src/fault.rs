@@ -177,7 +177,6 @@ impl TraceCorruptor {
 mod tests {
     use super::*;
     use crate::engine::run;
-    use crate::record::{replay, replay_prefix, TraceRecorder, HEADER_LEN};
     use spm_ir::{Input, ProgramBuilder, Trip};
 
     #[derive(Default)]
@@ -258,34 +257,42 @@ mod tests {
         assert_eq!(a.total, b.total);
     }
 
-    fn recorded_trace() -> Vec<u8> {
-        let mut rec = TraceRecorder::new();
-        run(&program(), &Input::new("x", 1), &mut [&mut rec]).unwrap();
-        rec.into_bytes()
+    /// The program's event stream in codec bytes: a damage target.
+    fn encoded_trace() -> Vec<u8> {
+        struct Encoder(Vec<u8>, u64);
+        impl TraceObserver for Encoder {
+            fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+                crate::record::encode_event(&mut self.0, icount - self.1, event);
+                self.1 = icount;
+            }
+        }
+        let mut enc = Encoder(Vec::new(), 0);
+        run(&program(), &Input::new("x", 1), &mut [&mut enc]).unwrap();
+        enc.0
     }
 
     #[test]
-    fn corruptor_is_deterministic_and_detected() {
-        let trace = recorded_trace();
+    fn corruptor_is_deterministic() {
+        // Detection of the damage is the trace store's job (see the
+        // umbrella crate's fault-injection tests); here the placement
+        // must be a pure function of the seed.
+        let trace = encoded_trace();
         let c = TraceCorruptor::new(7);
-        let cut_a = c.truncate(&trace, HEADER_LEN);
-        let cut_b = c.truncate(&trace, HEADER_LEN);
+        let cut_a = c.truncate(&trace, 16);
+        let cut_b = c.truncate(&trace, 16);
         assert_eq!(cut_a, cut_b, "same seed, same cut");
         assert!(cut_a.len() < trace.len());
-        assert!(
-            replay(&cut_a, &mut []).is_err(),
-            "truncation must be detected"
-        );
+        assert!(cut_a.len() >= 16, "cuts respect keep_min");
 
-        let flipped = c.bit_flip(&trace, HEADER_LEN, 3);
+        let flipped = c.bit_flip(&trace, 16, 3);
+        assert_eq!(flipped, c.bit_flip(&trace, 16, 3), "same seed, same flips");
         assert_eq!(flipped.len(), trace.len());
         assert_ne!(flipped, trace);
-        assert!(
-            replay(&flipped, &mut []).is_err(),
-            "bit flips must be detected"
+        assert_eq!(flipped[..16], trace[..16], "bytes before `from` untouched");
+        assert_ne!(
+            TraceCorruptor::new(8).bit_flip(&trace, 16, 3),
+            flipped,
+            "another seed places other flips"
         );
-        // And the recovery path still runs without panicking.
-        let report = replay_prefix(&flipped, &mut []);
-        assert!(report.error.is_some());
     }
 }

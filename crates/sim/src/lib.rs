@@ -15,8 +15,9 @@
 //! predictor) and [`Timeline`], which records cycles/misses/accesses/
 //! branches at a fine granule so that per-interval CPI, miss rates, and
 //! mispredict rates can be queried afterwards for *any* interval
-//! partitioning (fixed-length or variable-length). Event streams can be
-//! recorded to compact byte traces and replayed later ([`record`]).
+//! partitioning (fixed-length or variable-length). [`record`] is the
+//! compact byte codec for event streams; the `spm-store` crate frames it
+//! into the on-disk trace container that analyses replay later.
 //!
 //! # Examples
 //!

@@ -1,40 +1,40 @@
-//! Trace recording and replay.
+//! The trace event codec.
 //!
 //! ATOM-style workflows separate *instrumentation* from *analysis*: one
 //! expensive instrumented run produces a trace, then any number of
-//! analyses replay it. [`TraceRecorder`] captures an execution's event
-//! stream into a compact byte encoding (tag byte + LEB128 varints,
-//! instruction counts delta-encoded), and [`replay`] drives any set of
-//! [`TraceObserver`]s from it — producing byte-for-byte the same
+//! analyses replay it. This module is the byte encoding of that trace:
+//! each [`TraceEvent`] is a tag byte followed by LEB128 varints, with the
+//! instruction count delta-encoded against the previous event.
+//! [`encode_event`] and [`decode_event`] are exact inverses, so a decoded
+//! stream drives any set of [`TraceObserver`](crate::TraceObserver)s to byte-for-byte the same
 //! observations the live run did.
 //!
-//! # File format
-//!
-//! Traces written by this version start with a 32-byte header:
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic "spmtrc02" (6-byte prefix + 2-digit version)
-//! 8       8     event count, u64 little-endian
-//! 16      8     payload length in bytes, u64 little-endian
-//! 24      8     FNV-1a-64 checksum of the payload, u64 little-endian
-//! 32      —     payload: the encoded event stream
-//! ```
-//!
-//! [`replay`] verifies the length and checksum *before* delivering any
-//! event, so a corrupted file yields a typed [`DecodeError`] naming the
-//! failure (and, for malformed events, the byte offset) instead of
-//! feeding garbage to observers. Headerless `spmtrc01` traces from the
-//! previous format are still accepted, without integrity checks.
-//! [`replay_prefix`] is the recovery path: it delivers the longest
-//! decodable prefix of a damaged trace and reports where decoding
-//! stopped.
+//! The codec is container-free: the `spm-store` crate frames encoded
+//! events into checksummed `spmstk01` blocks (the one on-disk trace
+//! container), and `spm-serve` streams those frames over its wire
+//! protocol. Malformed bytes decode to a typed [`DecodeError`] naming the
+//! failure and its byte offset, never to garbage events.
 //!
 //! # Examples
 //!
 //! ```
 //! use spm_ir::{Input, ProgramBuilder, Trip};
-//! use spm_sim::{record::replay, record::TraceRecorder, run, TimingModel};
+//! use spm_sim::record::{decode_event, encode_event};
+//! use spm_sim::{run, TimingModel, TraceEvent, TraceObserver};
+//!
+//! /// Encodes the live event stream, delta-encoding instruction counts.
+//! #[derive(Default)]
+//! struct Encoder {
+//!     bytes: Vec<u8>,
+//!     last: u64,
+//! }
+//!
+//! impl TraceObserver for Encoder {
+//!     fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+//!         encode_event(&mut self.bytes, icount - self.last, event);
+//!         self.last = icount;
+//!     }
+//! }
 //!
 //! let mut b = ProgramBuilder::new("t");
 //! b.proc("main", |p| {
@@ -44,18 +44,22 @@
 //! });
 //! let program = b.build("main").unwrap();
 //!
-//! // Record once...
-//! let mut recorder = TraceRecorder::new();
-//! run(&program, &Input::new("x", 1), &mut [&mut recorder]).unwrap();
-//! let trace = recorder.into_bytes();
+//! // Encode once...
+//! let mut encoder = Encoder::default();
+//! run(&program, &Input::new("x", 1), &mut [&mut encoder]).unwrap();
 //!
 //! // ...analyze later, without the program.
 //! let mut timing = TimingModel::default();
-//! replay(&trace, &mut [&mut timing]).unwrap();
+//! let (mut pos, mut icount) = (0, 0);
+//! while pos < encoder.bytes.len() {
+//!     let (delta, event) = decode_event(&encoder.bytes, &mut pos).unwrap();
+//!     icount += delta;
+//!     timing.on_event(icount, &event);
+//! }
 //! assert_eq!(timing.instrs(), 500);
 //! ```
 
-use crate::events::{TraceEvent, TraceObserver};
+use crate::events::TraceEvent;
 use spm_ir::{BlockId, BranchId, LoopId, ProcId};
 use std::fmt;
 
@@ -74,8 +78,8 @@ mod tag {
     pub const FINISH: u8 = 11;
 }
 
-/// Appends a LEB128 varint to `out` (the integer encoding of the trace
-/// payload format, exposed for the `spm-store` block container).
+/// Appends a LEB128 varint to `out` (the integer encoding of the event
+/// codec, exposed for the `spm-store` block container).
 pub fn push_varint(out: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
@@ -149,10 +153,12 @@ fn read_varint_scalar(bytes: &[u8], pos: &mut usize) -> Result<u64, DecodeError>
 }
 
 /// Errors while decoding a recorded trace. Offsets are byte positions
-/// from the start of the file, so reports localize the corruption.
+/// in the buffer being decoded (a block payload, or the container for
+/// framing errors), so reports localize the corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The byte stream ended inside an event (or inside the header).
+    /// The byte stream ended inside an event (or inside a header or
+    /// frame).
     Truncated {
         /// Byte offset where the stream ended.
         offset: usize,
@@ -177,30 +183,31 @@ pub enum DecodeError {
         /// Byte offset of the tag.
         offset: usize,
     },
-    /// The trace did not begin with the `spmtrc` magic bytes.
+    /// The input did not begin with the `spmstk` magic bytes: it is not
+    /// an `spmstk01` trace store.
     BadMagic,
-    /// The magic matched but the version digits are unknown.
+    /// The `spmstk` magic matched but the version digits are unknown.
     UnsupportedVersion {
         /// The two version bytes found after the magic prefix.
         version: [u8; 2],
     },
-    /// The header's payload length does not match the bytes present
-    /// (a truncated or padded file).
+    /// A declared length does not match the bytes present (a truncated
+    /// or padded file, or a frame that disagrees with the index).
     LengthMismatch {
         /// Payload length the header declares.
         declared: u64,
         /// Payload bytes actually present.
         actual: u64,
     },
-    /// The payload checksum does not match the header (bit corruption).
+    /// A checksum does not match the bytes as read (bit corruption).
     ChecksumMismatch {
         /// Checksum the header declares.
         expected: u64,
         /// Checksum of the payload as read.
         actual: u64,
     },
-    /// The payload decoded cleanly but to a different number of events
-    /// than the header declares.
+    /// A block decoded cleanly but to a different event count (or end
+    /// instruction watermark) than its frame declares.
     EventCountMismatch {
         /// Event count the header declares.
         declared: u64,
@@ -224,10 +231,10 @@ impl fmt::Display for DecodeError {
             DecodeError::BadTag { tag, offset } => {
                 write!(f, "unknown event tag {tag} at byte {offset}")
             }
-            DecodeError::BadMagic => write!(f, "not an spm trace (bad magic)"),
+            DecodeError::BadMagic => write!(f, "not an spmstk01 trace store (bad magic)"),
             DecodeError::UnsupportedVersion { version } => write!(
                 f,
-                "unsupported trace version `{}{}` (this build reads 01 and 02)",
+                "unsupported trace store version `spmstk{}{}` (this build reads spmstk01)",
                 version[0] as char, version[1] as char
             ),
             DecodeError::LengthMismatch { declared, actual } => write!(
@@ -248,85 +255,12 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-const MAGIC_PREFIX: &[u8; 6] = b"spmtrc";
-const MAGIC_V1: &[u8; 8] = b"spmtrc01";
-const MAGIC_V2: &[u8; 8] = b"spmtrc02";
-
-/// Byte length of the current (v2) trace header.
-pub const HEADER_LEN: usize = 32;
-
-/// FNV-1a 64-bit hash, the payload checksum of the v2 format.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn read_u64_le(bytes: &[u8], at: usize) -> u64 {
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&bytes[at..at + 8]);
-    u64::from_le_bytes(raw)
-}
-
-/// Observer encoding the event stream into a compact byte trace.
-#[derive(Debug, Clone)]
-pub struct TraceRecorder {
-    bytes: Vec<u8>,
-    last_icount: u64,
-    events: u64,
-}
-
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        let mut bytes = Vec::with_capacity(HEADER_LEN + 1024);
-        bytes.extend_from_slice(MAGIC_V2);
-        bytes.resize(HEADER_LEN, 0); // event count, length, checksum
-        Self {
-            bytes,
-            last_icount: 0,
-            events: 0,
-        }
-    }
-
-    /// Number of events recorded so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Size of the encoded trace so far, in bytes (header included).
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Finishes recording and returns the encoded trace, with the
-    /// header's event count, payload length, and checksum filled in.
-    pub fn into_bytes(mut self) -> Vec<u8> {
-        let payload_len = (self.bytes.len() - HEADER_LEN) as u64;
-        let checksum = fnv1a64(&self.bytes[HEADER_LEN..]);
-        self.bytes[8..16].copy_from_slice(&self.events.to_le_bytes());
-        self.bytes[16..24].copy_from_slice(&payload_len.to_le_bytes());
-        self.bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
-        self.bytes
-    }
-}
-
 /// Appends one event (tag byte + varint-encoded payload, instruction
 /// count delta-encoded as `delta`) to `out`.
 ///
-/// This is *the* payload encoding shared by the flat `spmtrc02` trace
-/// format and the `spm-store` block container: both call this, so a
-/// block payload is byte-identical to the corresponding slice of a flat
-/// trace payload. Inverse of [`decode_event`].
+/// This is *the* event encoding: `spm-store` block payloads and the
+/// `spm-serve` wire frames that carry them are sequences of exactly
+/// these bytes. Inverse of [`decode_event`].
 pub fn encode_event(out: &mut Vec<u8>, delta: u64, event: &TraceEvent) {
     match *event {
         TraceEvent::BlockExec {
@@ -386,55 +320,10 @@ pub fn encode_event(out: &mut Vec<u8>, delta: u64, event: &TraceEvent) {
     }
 }
 
-impl TraceObserver for TraceRecorder {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.events += 1;
-        let delta = icount.saturating_sub(self.last_icount);
-        self.last_icount = icount;
-        encode_event(&mut self.bytes, delta, event);
-    }
-}
-
 fn read_id(bytes: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
     let at = *pos;
     let v = read_varint(bytes, pos)?;
     u32::try_from(v).map_err(|_| DecodeError::Overflow { offset: at })
-}
-
-/// Parsed header: which version, and where the payload starts.
-struct Header {
-    payload_start: usize,
-    /// Event count and checksum the v2 header declares (`None` for v1).
-    declared: Option<(u64, u64, u64)>, // (events, payload_len, checksum)
-}
-
-fn parse_header(bytes: &[u8]) -> Result<Header, DecodeError> {
-    if bytes.len() < 8 || &bytes[..6] != MAGIC_PREFIX {
-        return Err(DecodeError::BadMagic);
-    }
-    if &bytes[..8] == MAGIC_V1 {
-        return Ok(Header {
-            payload_start: 8,
-            declared: None,
-        });
-    }
-    if &bytes[..8] != MAGIC_V2 {
-        return Err(DecodeError::UnsupportedVersion {
-            version: [bytes[6], bytes[7]],
-        });
-    }
-    if bytes.len() < HEADER_LEN {
-        return Err(DecodeError::Truncated {
-            offset: bytes.len(),
-        });
-    }
-    let events = read_u64_le(bytes, 8);
-    let payload_len = read_u64_le(bytes, 16);
-    let checksum = read_u64_le(bytes, 24);
-    Ok(Header {
-        payload_start: HEADER_LEN,
-        declared: Some((events, payload_len, checksum)),
-    })
 }
 
 /// Decodes one event at `*pos`, advancing `*pos` past it. Returns the
@@ -504,204 +393,11 @@ pub fn decode_event(bytes: &[u8], pos: &mut usize) -> Result<(u64, TraceEvent), 
     Ok((delta, event))
 }
 
-/// Replays a recorded trace into the observers, returning the number of
-/// events delivered.
-///
-/// For v2 traces the header's payload length and checksum are verified
-/// **before any event is delivered**, so observers never see events
-/// from a corrupted file. Headerless v1 traces are decoded without
-/// integrity checks.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on malformed input. For v1 traces (which
-/// have no up-front checksum), events before the error have already
-/// been delivered; use [`replay_prefix`] to make that recovery
-/// deliberate.
-pub fn replay(bytes: &[u8], observers: &mut [&mut dyn TraceObserver]) -> Result<u64, DecodeError> {
-    let mut span = spm_obs::span("sim/replay");
-    let header = parse_header(bytes)?;
-    if header.declared.is_none() {
-        // Legacy v1 traces carry no checksum: say so once, through the
-        // structured stream, instead of silently trusting the bytes.
-        spm_obs::warning("trace/unverified-v1", &[]);
-    }
-    let payload = &bytes[header.payload_start..];
-    let events = if let Some((declared_events, payload_len, checksum)) = header.declared {
-        if payload_len != payload.len() as u64 {
-            return Err(DecodeError::LengthMismatch {
-                declared: payload_len,
-                actual: payload.len() as u64,
-            });
-        }
-        let actual = fnv1a64(payload);
-        if actual != checksum {
-            return Err(DecodeError::ChecksumMismatch {
-                expected: checksum,
-                actual,
-            });
-        }
-        let events = replay_payload(bytes, header.payload_start, observers)?;
-        if events != declared_events {
-            return Err(DecodeError::EventCountMismatch {
-                declared: declared_events,
-                actual: events,
-            });
-        }
-        events
-    } else {
-        replay_payload(bytes, header.payload_start, observers)?
-    };
-    if span.is_live() {
-        span.field("bytes", bytes.len());
-        span.field("events", events);
-        let secs = span.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            spm_obs::gauge("sim/replay_events_per_sec", events as f64 / secs);
-        }
-    }
-    Ok(events)
-}
-
-fn replay_payload(
-    bytes: &[u8],
-    start: usize,
-    observers: &mut [&mut dyn TraceObserver],
-) -> Result<u64, DecodeError> {
-    let mut pos = start;
-    let mut icount = 0u64;
-    let mut events = 0u64;
-    while pos < bytes.len() {
-        let at = pos;
-        let (delta, event) = decode_event(bytes, &mut pos)?;
-        icount = icount
-            .checked_add(delta)
-            .ok_or(DecodeError::Overflow { offset: at })?;
-        for obs in observers.iter_mut() {
-            obs.on_event(icount, &event);
-        }
-        events += 1;
-    }
-    Ok(events)
-}
-
-/// Result of a best-effort [`replay_prefix`] over a possibly-damaged
-/// trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayReport {
-    /// Events successfully decoded and delivered.
-    pub events: u64,
-    /// Bytes of the file covered by those events (header included):
-    /// the offset where decoding stopped.
-    pub valid_bytes: usize,
-    /// Why the trace is damaged, `None` when it decoded completely.
-    /// Integrity failures that do not stop decoding (checksum or
-    /// declared-count mismatches) are reported here after the full
-    /// prefix has been delivered.
-    pub error: Option<DecodeError>,
-    /// Byte offset of the first undecodable record, when decoding
-    /// stopped mid-stream (`None` for whole-file integrity failures
-    /// that did not stop decoding, and for intact traces). Callers can
-    /// name *where* the trace went bad, not just that it did.
-    pub error_offset: Option<usize>,
-    /// 0-based index of the first undecodable record, when decoding
-    /// stopped mid-stream (the count of records that did decode).
-    pub error_record: Option<u64>,
-}
-
-/// Decodes the longest valid prefix of a trace, delivering its events,
-/// and reports where and why decoding stopped.
-///
-/// This is the recovery path for damaged traces: unlike [`replay`] it
-/// does not refuse a file whose checksum fails — it delivers every
-/// event it can decode and surfaces the integrity failure in
-/// [`ReplayReport::error`]. A file whose header is unreadable (wrong
-/// magic or version) yields zero events.
-pub fn replay_prefix(bytes: &[u8], observers: &mut [&mut dyn TraceObserver]) -> ReplayReport {
-    let header = match parse_header(bytes) {
-        Ok(h) => h,
-        Err(e) => {
-            return ReplayReport {
-                events: 0,
-                valid_bytes: 0,
-                error: Some(e),
-                error_offset: None,
-                error_record: None,
-            }
-        }
-    };
-    if header.declared.is_none() {
-        spm_obs::warning("trace/unverified-v1", &[]);
-    }
-    let mut pos = header.payload_start;
-    let mut icount = 0u64;
-    let mut events = 0u64;
-    let mut error = None;
-    while pos < bytes.len() {
-        let at = pos;
-        match decode_event(bytes, &mut pos) {
-            Ok((delta, event)) => match icount.checked_add(delta) {
-                Some(next) => {
-                    icount = next;
-                    for obs in observers.iter_mut() {
-                        obs.on_event(icount, &event);
-                    }
-                    events += 1;
-                }
-                None => {
-                    pos = at;
-                    error = Some(DecodeError::Overflow { offset: at });
-                    break;
-                }
-            },
-            Err(e) => {
-                pos = at;
-                error = Some(e);
-                break;
-            }
-        }
-    }
-    // When the loop broke, `pos` is the offset of (and `events` the
-    // index of) the first undecodable record.
-    let (error_offset, error_record) = match error {
-        Some(_) => (Some(pos), Some(events)),
-        None => (None, None),
-    };
-    if error.is_none() {
-        if let Some((declared_events, payload_len, checksum)) = header.declared {
-            let payload = &bytes[header.payload_start..];
-            let actual = fnv1a64(payload);
-            if payload_len != payload.len() as u64 {
-                error = Some(DecodeError::LengthMismatch {
-                    declared: payload_len,
-                    actual: payload.len() as u64,
-                });
-            } else if actual != checksum {
-                error = Some(DecodeError::ChecksumMismatch {
-                    expected: checksum,
-                    actual,
-                });
-            } else if events != declared_events {
-                error = Some(DecodeError::EventCountMismatch {
-                    declared: declared_events,
-                    actual: events,
-                });
-            }
-        }
-    }
-    ReplayReport {
-        events,
-        valid_bytes: pos,
-        error,
-        error_offset,
-        error_record,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::run;
+    use crate::events::TraceObserver;
     use proptest::prelude::*;
     use spm_ir::{Input, ProgramBuilder, Trip};
 
@@ -728,104 +424,70 @@ mod tests {
         b.build("main").unwrap()
     }
 
-    fn sample_trace(seed: u64) -> Vec<u8> {
-        let mut recorder = TraceRecorder::new();
-        run(
-            &sample_program(),
-            &Input::new("x", seed),
-            &mut [&mut recorder],
-        )
-        .unwrap();
-        recorder.into_bytes()
-    }
-
-    #[test]
-    fn replay_reproduces_live_events_exactly() {
-        let program = sample_program();
-        let input = Input::new("x", 77);
+    /// The live event stream of the sample program under `seed`.
+    fn live_events(seed: u64) -> Collector {
         let mut live = Collector::default();
-        let mut recorder = TraceRecorder::new();
-        {
-            let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut live, &mut recorder];
-            run(&program, &input, &mut observers).unwrap();
-        }
-        let recorded_events = recorder.events();
-        let trace = recorder.into_bytes();
+        run(&sample_program(), &Input::new("x", seed), &mut [&mut live]).unwrap();
+        live
+    }
 
-        let mut replayed = Collector::default();
-        let events = replay(&trace, &mut [&mut replayed]).unwrap();
-        assert_eq!(events, recorded_events);
-        assert_eq!(replayed, live);
+    fn encode_all(events: &[(u64, TraceEvent)]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut last = 0;
+        for (icount, event) in events {
+            encode_event(&mut bytes, icount - last, event);
+            last = *icount;
+        }
+        bytes
+    }
+
+    fn decode_all(bytes: &[u8]) -> Result<Collector, DecodeError> {
+        let mut out = Collector::default();
+        let (mut pos, mut icount) = (0, 0u64);
+        while pos < bytes.len() {
+            let (delta, event) = decode_event(bytes, &mut pos)?;
+            icount += delta;
+            out.0.push((icount, event));
+        }
+        Ok(out)
     }
 
     #[test]
-    fn replayed_analysis_matches_live_analysis() {
-        // A timing model driven by replay reaches the identical state.
-        use crate::timing::TimingModel;
-        let program = sample_program();
-        let input = Input::new("x", 3);
-        let mut live = TimingModel::default();
-        let mut recorder = TraceRecorder::new();
-        {
-            let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut live, &mut recorder];
-            run(&program, &input, &mut observers).unwrap();
-        }
-        let mut replayed = TimingModel::default();
-        replay(&recorder.into_bytes(), &mut [&mut replayed]).unwrap();
-        assert_eq!(live.instrs(), replayed.instrs());
-        assert_eq!(live.cycles(), replayed.cycles());
-        assert_eq!(live.dl1_misses(), replayed.dl1_misses());
-        assert_eq!(live.mispredicts(), replayed.mispredicts());
+    fn decode_reproduces_live_events_exactly() {
+        let live = live_events(77);
+        assert_eq!(decode_all(&encode_all(&live.0)), Ok(live));
     }
 
     #[test]
-    fn trace_is_compact() {
-        let program = sample_program();
-        let mut recorder = TraceRecorder::new();
-        run(&program, &Input::new("x", 1), &mut [&mut recorder]).unwrap();
-        let per_event = recorder.byte_len() as f64 / recorder.events() as f64;
+    fn encoding_is_compact() {
+        let live = live_events(1);
+        let per_event = encode_all(&live.0).len() as f64 / live.0.len() as f64;
         assert!(per_event < 8.0, "{per_event} bytes/event is too fat");
     }
 
     #[test]
     fn decode_errors_carry_offsets() {
-        assert_eq!(replay(b"nope", &mut []), Err(DecodeError::BadMagic));
+        let decode = |bytes: &[u8]| decode_event(bytes, &mut 0).map(|_| ());
+        // An unknown tag, reported at its own offset.
         assert_eq!(
-            replay(b"spmtrc99", &mut []),
-            Err(DecodeError::UnsupportedVersion { version: *b"99" })
+            decode(&[99, 0]),
+            Err(DecodeError::BadTag { tag: 99, offset: 0 })
         );
-        // Raw-payload errors via the headerless v1 format.
-        let mut bad = MAGIC_V1.to_vec();
-        bad.push(99); // unknown tag at offset 8
-        bad.push(0); // delta
+        // The stream ends inside a block event's fields.
         assert_eq!(
-            replay(&bad, &mut []),
-            Err(DecodeError::BadTag { tag: 99, offset: 8 })
-        );
-        let mut trunc = MAGIC_V1.to_vec();
-        trunc.push(tag::BLOCK);
-        trunc.push(0);
-        assert_eq!(
-            replay(&trunc, &mut []),
-            Err(DecodeError::Truncated { offset: 10 })
+            decode(&[tag::BLOCK, 0]),
+            Err(DecodeError::Truncated { offset: 2 })
         );
         // Varint overflow: the 10th continuation byte carries bits past
         // 2^64, caught on that byte rather than one later.
-        let mut over = MAGIC_V1.to_vec();
-        over.push(tag::FINISH);
+        let mut over = vec![tag::FINISH];
         over.extend([0xff; 10]);
         over.push(0x01);
-        assert_eq!(
-            replay(&over, &mut []),
-            Err(DecodeError::Overflow { offset: 18 })
-        );
+        assert_eq!(decode(&over), Err(DecodeError::Overflow { offset: 10 }));
         // Non-canonical: a zero-padded (over-long) delta encoding.
-        let mut pad = MAGIC_V1.to_vec();
-        pad.push(tag::FINISH);
-        pad.extend([0x80, 0x00]); // over-long encoding of 0
         assert_eq!(
-            replay(&pad, &mut []),
-            Err(DecodeError::NonCanonical { offset: 10 })
+            decode(&[tag::FINISH, 0x80, 0x00]),
+            Err(DecodeError::NonCanonical { offset: 2 })
         );
     }
 
@@ -859,106 +521,6 @@ mod tests {
                 "length {len}"
             );
         }
-    }
-
-    #[test]
-    fn empty_traces_replay_zero_events() {
-        // Both the legacy headerless form and an empty v2 recording.
-        assert_eq!(replay(MAGIC_V1, &mut []), Ok(0));
-        assert_eq!(replay(&TraceRecorder::new().into_bytes(), &mut []), Ok(0));
-    }
-
-    #[test]
-    fn v1_traces_are_still_accepted() {
-        let trace = sample_trace(9);
-        let mut legacy = MAGIC_V1.to_vec();
-        legacy.extend_from_slice(&trace[HEADER_LEN..]); // same payload encoding
-        let mut a = Collector::default();
-        let mut b = Collector::default();
-        let n2 = replay(&trace, &mut [&mut a]).unwrap();
-        let n1 = replay(&legacy, &mut [&mut b]).unwrap();
-        assert_eq!(n1, n2);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn bit_flip_is_a_checksum_mismatch() {
-        let mut trace = sample_trace(4);
-        let mid = HEADER_LEN + (trace.len() - HEADER_LEN) / 2;
-        trace[mid] ^= 0x40;
-        let mut sink = Collector::default();
-        let err = replay(&trace, &mut [&mut sink]).unwrap_err();
-        assert!(
-            matches!(err, DecodeError::ChecksumMismatch { .. }),
-            "got {err:?}"
-        );
-        assert!(
-            sink.0.is_empty(),
-            "no events may leak past a failed checksum"
-        );
-    }
-
-    #[test]
-    fn truncation_is_a_length_mismatch() {
-        let trace = sample_trace(4);
-        let cut = &trace[..trace.len() - 7];
-        let err = replay(cut, &mut []).unwrap_err();
-        assert!(
-            matches!(err, DecodeError::LengthMismatch { .. }),
-            "got {err:?}"
-        );
-        // Truncation inside the header is reported as truncation.
-        let err = replay(&trace[..HEADER_LEN - 4], &mut []).unwrap_err();
-        assert_eq!(
-            err,
-            DecodeError::Truncated {
-                offset: HEADER_LEN - 4
-            }
-        );
-    }
-
-    #[test]
-    fn replay_prefix_recovers_valid_prefix_of_truncated_trace() {
-        let trace = sample_trace(12);
-        let mut full = Collector::default();
-        let total = replay(&trace, &mut [&mut full]).unwrap();
-
-        let cut = trace.len() - (trace.len() - HEADER_LEN) / 3;
-        let mut partial = Collector::default();
-        let report = replay_prefix(&trace[..cut], &mut [&mut partial]);
-        assert!(report.events > 0, "a long prefix must survive");
-        assert!(report.events < total);
-        assert!(report.valid_bytes <= cut);
-        assert!(report.error.is_some(), "truncation must be reported");
-        // The first undecodable record is localized: its byte offset is
-        // where decoding stopped, its index is the delivered count.
-        assert_eq!(report.error_offset, Some(report.valid_bytes));
-        assert_eq!(report.error_record, Some(report.events));
-        // The delivered prefix matches the true event stream.
-        assert_eq!(partial.0[..], full.0[..report.events as usize]);
-    }
-
-    #[test]
-    fn replay_prefix_on_intact_trace_reports_no_error() {
-        let trace = sample_trace(5);
-        let mut sink = Collector::default();
-        let report = replay_prefix(&trace, &mut [&mut sink]);
-        assert_eq!(report.error, None);
-        assert_eq!(report.valid_bytes, trace.len());
-        assert_eq!(report.events, sink.0.len() as u64);
-        assert_eq!(report.error_offset, None);
-        assert_eq!(report.error_record, None);
-    }
-
-    #[test]
-    fn replay_prefix_reports_bit_flips_after_delivering() {
-        let mut trace = sample_trace(6);
-        let last = trace.len() - 1;
-        trace[last] ^= 0x01;
-        let report = replay_prefix(&trace, &mut []);
-        // The flip may or may not break event framing; either way the
-        // damage is reported.
-        assert!(report.error.is_some(), "got {report:?}");
     }
 
     proptest! {
@@ -1004,33 +566,17 @@ mod tests {
         }
 
         #[test]
-        fn recorded_traces_replay_for_random_seeds(seed in 0u64..500) {
-            let program = sample_program();
-            let input = Input::new("x", seed);
-            let mut live = Collector::default();
-            let mut recorder = TraceRecorder::new();
-            {
-                let mut observers: Vec<&mut dyn TraceObserver> =
-                    vec![&mut live, &mut recorder];
-                run(&program, &input, &mut observers).unwrap();
-            }
-            let mut replayed = Collector::default();
-            replay(&recorder.into_bytes(), &mut [&mut replayed]).unwrap();
-            prop_assert_eq!(replayed, live);
+        fn encoded_streams_decode_for_random_seeds(seed in 0u64..500) {
+            let live = live_events(seed);
+            prop_assert_eq!(decode_all(&encode_all(&live.0)), Ok(live));
         }
 
         #[test]
         fn truncating_anywhere_never_panics(seed in 0u64..30, cut_frac in 0.0f64..1.0) {
-            let trace = sample_trace(seed);
-            let cut = HEADER_LEN.min(trace.len())
-                + ((trace.len().saturating_sub(HEADER_LEN)) as f64 * cut_frac) as usize;
-            let cut = cut.min(trace.len());
-            let mut sink = Collector::default();
-            // Strict replay: typed error or clean success, never a panic.
-            let _ = replay(&trace[..cut], &mut [&mut sink]);
-            // Prefix replay: always a report.
-            let report = replay_prefix(&trace[..cut], &mut [&mut Collector::default()]);
-            prop_assert!(report.valid_bytes <= cut);
+            let bytes = encode_all(&live_events(seed).0);
+            let cut = (bytes.len() as f64 * cut_frac) as usize;
+            // A typed error or a clean (shorter) decode, never a panic.
+            let _ = decode_all(&bytes[..cut]);
         }
     }
 }

@@ -31,8 +31,8 @@
 //!   32  8  FNV-1a-64 checksum of the stored payload bytes, u64 LE
 //!          (computed over what is on disk, so frame verification and
 //!          torn-tail recovery never need to decompress)
-//!   40  —  payload: events encoded exactly as the flat `spmtrc02`
-//!          payload (tag byte + LEB128 varints, icount delta-encoded),
+//!   40  —  payload: events in the `spm_sim::record` codec (tag
+//!          byte + LEB128 varints, icount delta-encoded),
 //!          with the delta base reset to the start watermark. Under
 //!          compression the stored bytes are the [`crate::compress`]
 //!          encoding of that event payload.
@@ -209,7 +209,7 @@ impl std::fmt::Display for Compression {
 }
 
 /// FNV-1a 64-bit hash: the checksum of block payloads and of the index
-/// (the same function the flat `spmtrc02` header uses).
+/// (and the content-key fold of [`crate::StoreReader::content_key`]).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

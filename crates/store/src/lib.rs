@@ -1,15 +1,15 @@
 //! # spm-store
 //!
 //! A versioned, block-based container format (`spmstk01`) for spm
-//! trace event streams — the durable form of the flat `spmtrc02`
-//! record (see `spm-sim`).
+//! trace event streams: the one on-disk form of a recorded trace.
 //!
-//! The flat format is a single checksummed payload: compact, but one
-//! flipped bit loses the whole tail, decoding is inherently serial, and
-//! any replay must start at byte zero. The store format keeps the same
-//! event encoding (tag byte + LEB128 varints, delta-encoded
-//! instruction counts) but cuts the stream into fixed-budget blocks
-//! (~256 KiB pre-compression by default), each framed with its own
+//! A single checksummed payload would be compact, but one flipped bit
+//! would lose the whole tail, decoding would be inherently serial, and
+//! any replay would have to start at byte zero. The store encodes
+//! events with the `spm-sim` codec (tag byte + LEB128 varints,
+//! delta-encoded instruction counts) and cuts the stream into
+//! fixed-budget blocks (~256 KiB pre-compression by default), each
+//! framed with its own
 //! FNV-1a-64 checksum, first event sequence number, and instruction
 //! watermarks, plus a footer index over all blocks. That buys:
 //!

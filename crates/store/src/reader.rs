@@ -68,7 +68,8 @@ pub struct SkippedBlock {
     pub error: DecodeError,
 }
 
-/// `ReplayReport`-style summary of a (possibly degraded) store replay.
+/// What a (possibly degraded) store replay delivered and what it
+/// skipped.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StoreReplayReport {
     /// Events decoded and delivered.
@@ -152,12 +153,19 @@ impl<R: Read + Seek> StoreReader<R> {
         source.seek(SeekFrom::Start(0)).map_err(io_err)?;
         let mut header = [0u8; HEADER_LEN];
         if file_bytes < HEADER_LEN as u64 {
-            return Err(StoreError::Corrupt {
-                block: None,
-                error: DecodeError::Truncated {
+            // Too short for a header: a cut store, unless the bytes
+            // present already contradict the magic.
+            let present = &mut header[..file_bytes as usize];
+            source.read_exact(present).map_err(io_err)?;
+            let n = present.len().min(MAGIC_PREFIX.len());
+            let error = if present[..n] == MAGIC_PREFIX[..n] {
+                DecodeError::Truncated {
                     offset: file_bytes as usize,
-                },
-            });
+                }
+            } else {
+                DecodeError::BadMagic
+            };
+            return Err(StoreError::Corrupt { block: None, error });
         }
         source.read_exact(&mut header).map_err(io_err)?;
         if &header[..6] != MAGIC_PREFIX {

@@ -350,9 +350,25 @@ fn not_a_store_is_a_typed_error() {
     let err = StoreReader::new(Cursor::new(b"spmtrc02not a store....".to_vec()))
         .expect_err("flat trace is not a store");
     assert!(matches!(err, spm_store::StoreError::Corrupt { .. }));
+    assert_eq!(
+        err.to_string(),
+        "store corrupt: not an spmstk01 trace store (bad magic)"
+    );
     let err =
         StoreReader::new(Cursor::new(b"spmstk99xxxxxxxx".to_vec())).expect_err("unknown version");
     assert!(err.to_string().contains("version"));
+    // A future version: the message names both the version found and
+    // the one this build reads.
+    let mut future = b"spmstk99".to_vec();
+    future.extend([0u8; 48]);
+    let err = StoreReader::new(Cursor::new(future)).expect_err("unknown version");
+    assert_eq!(
+        err.to_string(),
+        "store corrupt: unsupported trace store version `spmstk99` (this build reads spmstk01)"
+    );
+    // Too short for a header, and not a store prefix either.
+    let err = StoreReader::new(Cursor::new(b"not a trace".to_vec())).expect_err("short junk");
+    assert!(err.to_string().contains("bad magic"), "{err}");
 }
 
 /// Like [`pack`], but with per-block LZ compression enabled.

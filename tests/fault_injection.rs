@@ -10,16 +10,20 @@
 //!   profiler must either still produce a graph or report a
 //!   [`ProfileError`](spm::core::ProfileError);
 //! * **byte-level faults** ([`TraceCorruptor`]): truncated and
-//!   bit-flipped record files — strict replay must report a
-//!   [`DecodeError`](spm::sim::record::DecodeError), and
-//!   [`replay_prefix`] must recover a valid prefix.
+//!   bit-flipped `spmstk01` trace stores — a torn store must recover
+//!   exactly the committed prefix of the clean stream, and a flipped
+//!   bit must cost its block (a typed
+//!   [`DecodeError`](spm::sim::record::DecodeError) in the replay
+//!   report) without any of that block's events reaching an observer.
 
 use spm::core::{
     partition_with_fallback, select_markers, CallLoopProfiler, FallbackReason, SelectConfig,
 };
-use spm::sim::record::{replay, replay_prefix, TraceRecorder, HEADER_LEN};
-use spm::sim::{run, FaultKind, FaultObserver, TraceCorruptor, TraceObserver};
+use spm::sim::{run, FaultKind, FaultObserver, TraceCorruptor, TraceEvent, TraceObserver};
 use spm::workloads::suite;
+use spm_store::format::{BlockMeta, FRAME_LEN, HEADER_LEN};
+use spm_store::{StoreReader, StoreReplayReport, StoreWriter};
+use std::io::Cursor;
 
 /// Seeds tried per (workload, fault) cell. Small, but combined with 16
 /// workloads and 3+2 fault kinds this covers hundreds of distinct
@@ -113,50 +117,117 @@ fn dropped_returns_are_reported_with_event_context() {
     );
 }
 
-fn record_workload(w: &spm::workloads::Workload) -> Vec<u8> {
-    let mut rec = TraceRecorder::new();
-    run(&w.program, &w.train_input, &mut [&mut rec]).expect("engine runs");
-    rec.into_bytes()
+/// Block budget of the recorded stores: small, so one fault hits one
+/// block of many.
+const BLOCK_BUDGET: usize = 4096;
+
+/// Collects every delivered event, for stream comparisons.
+#[derive(Default)]
+struct Events(Vec<(u64, TraceEvent)>);
+
+impl TraceObserver for Events {
+    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+        self.0.push((icount, *event));
+    }
 }
 
-/// Counts events delivered, to prove prefix recovery actually replays.
-#[derive(Default)]
-struct Count(u64);
+/// Records `w`'s train run into an in-memory store, returning the store
+/// bytes and the clean event stream.
+fn record_workload(w: &spm::workloads::Workload) -> (Vec<u8>, Vec<(u64, TraceEvent)>) {
+    let mut live = Events::default();
+    let mut writer = StoreWriter::with_block_budget(Vec::new(), BLOCK_BUDGET);
+    run(&w.program, &w.train_input, &mut [&mut live, &mut writer]).expect("engine runs");
+    let outcome = writer.finish_with_sink();
+    outcome.result.expect("in-memory store writes");
+    (outcome.sink, live.0)
+}
 
-impl TraceObserver for Count {
-    fn on_event(&mut self, _icount: u64, _event: &spm::sim::TraceEvent) {
-        self.0 += 1;
+/// Opens `bytes` and replays every event, returning what was delivered.
+fn replay_store(bytes: &[u8]) -> (StoreReader<Cursor<&[u8]>>, StoreReplayReport, Events) {
+    let mut reader = StoreReader::new(Cursor::new(bytes)).expect("header intact: store opens");
+    let mut sink = Events::default();
+    let report = reader.replay(&mut [&mut sink]).expect("in-memory replay");
+    (reader, report, sink)
+}
+
+/// The clean stream minus the events of the given blocks.
+fn without_blocks(
+    clean: &[(u64, TraceEvent)],
+    index: &[BlockMeta],
+    report: &StoreReplayReport,
+) -> Vec<(u64, TraceEvent)> {
+    let mut keep = vec![true; clean.len()];
+    for s in &report.skipped {
+        let meta = index[s.block as usize];
+        keep[meta.first_seq as usize..meta.end_seq() as usize].fill(false);
     }
+    clean
+        .iter()
+        .zip(keep)
+        .filter_map(|(event, kept)| kept.then_some(*event))
+        .collect()
 }
 
 #[test]
 fn corrupted_record_files_are_detected_across_the_suite() {
     for w in suite() {
-        let trace = record_workload(&w);
+        let (store, clean) = record_workload(&w);
+        let (reader, _, _) = replay_store(&store);
+        let index = reader.index().to_vec();
+        assert!(
+            index.len() > 1,
+            "{}: one fault must hit one of many blocks",
+            w.name
+        );
+        let blocks_end = HEADER_LEN
+            + index
+                .iter()
+                .map(|m| FRAME_LEN + m.payload_len as usize)
+                .sum::<usize>();
         for seed in SEEDS {
             let corruptor = TraceCorruptor::new(seed);
 
-            // Truncation: strict replay reports a typed error; prefix
-            // recovery yields a decodable prefix no longer than the cut.
-            let cut = corruptor.truncate(&trace, HEADER_LEN);
-            let err = replay(&cut, &mut []).expect_err("truncated traces must not replay cleanly");
-            assert!(!err.to_string().is_empty());
-            let mut sink = Count::default();
-            let report = replay_prefix(&cut, &mut [&mut sink]);
-            assert!(report.error.is_some(), "{}: truncation hidden", w.name);
-            assert!(report.valid_bytes <= cut.len());
-            assert_eq!(report.events, sink.0);
-
-            // Bit flips: the checksum must catch payload damage before
-            // any event reaches an observer under strict replay.
-            let flipped = corruptor.bit_flip(&trace, HEADER_LEN, 2);
-            let mut strict_sink = Count::default();
-            let err = replay(&flipped, &mut [&mut strict_sink])
-                .expect_err("bit-flipped traces must not replay cleanly");
-            assert!(!err.to_string().is_empty());
+            // Truncation: the footer is gone, so the reader recovers by
+            // walking frames, and replay delivers exactly the committed
+            // prefix of the clean stream.
+            let cut = corruptor.truncate(&store, HEADER_LEN);
+            let (reader, report, sink) = replay_store(&cut);
+            assert!(
+                reader.info().recovered_index,
+                "{}: truncation hidden",
+                w.name
+            );
+            assert!(
+                report.is_clean(),
+                "{}: recovered blocks must verify",
+                w.name
+            );
+            assert_eq!(report.events, reader.info().events);
             assert_eq!(
-                strict_sink.0, 0,
-                "{}: events leaked before checksum",
+                sink.0[..],
+                clean[..sink.0.len()],
+                "{}: recovered prefix diverged from the clean stream",
+                w.name
+            );
+
+            // Bit flips in the blocks: each costs its block, reported
+            // with a typed error, and none of that block's events may
+            // reach an observer.
+            let mut flipped = corruptor.bit_flip(&store[..blocks_end], HEADER_LEN, 2);
+            flipped.extend_from_slice(&store[blocks_end..]);
+            let (_, report, sink) = replay_store(&flipped);
+            assert!(
+                !report.skipped.is_empty(),
+                "{}: bit flips went unnoticed",
+                w.name
+            );
+            for skip in &report.skipped {
+                assert!(!skip.error.to_string().is_empty());
+            }
+            assert_eq!(
+                sink.0,
+                without_blocks(&clean, &index, &report),
+                "{}: events of a damaged block leaked",
                 w.name
             );
         }
@@ -165,27 +236,21 @@ fn corrupted_record_files_are_detected_across_the_suite() {
 
 #[test]
 fn prefix_recovery_matches_the_uncorrupted_stream() {
-    // The recovered prefix must be byte-for-byte the same replay the
-    // intact trace would produce, just shorter.
-    #[derive(Default)]
-    struct Icounts(Vec<u64>);
-    impl TraceObserver for Icounts {
-        fn on_event(&mut self, icount: u64, _event: &spm::sim::TraceEvent) {
-            self.0.push(icount);
-        }
-    }
-
+    // The recovered prefix must be event-for-event the same replay the
+    // intact store produces, just shorter.
     let w = spm::workloads::build("mgrid").expect("known workload");
-    let trace = record_workload(&w);
-    let mut full = Icounts::default();
-    replay(&trace, &mut [&mut full]).expect("intact trace replays");
+    let (store, clean) = record_workload(&w);
+    let (_, report, full) = replay_store(&store);
+    assert!(report.is_clean());
+    assert_eq!(full.0, clean, "intact store replays the live stream");
 
-    let cut = TraceCorruptor::new(3).truncate(&trace, HEADER_LEN);
-    let mut prefix = Icounts::default();
-    let report = replay_prefix(&cut, &mut [&mut prefix]);
-    assert!(report.error.is_some());
+    let cut = TraceCorruptor::new(3).truncate(&store, HEADER_LEN);
+    let (reader, report, prefix) = replay_store(&cut);
+    assert!(reader.info().recovered_index);
+    assert!(report.is_clean());
     let n = prefix.0.len();
     assert!(n <= full.0.len());
+    assert_eq!(n as u64, reader.info().events);
     assert_eq!(
         prefix.0[..],
         full.0[..n],

@@ -4,9 +4,17 @@
 
 use spm::core::text::{parse_graph, parse_markers, write_graph, write_markers};
 use spm::core::{partition, select_markers, CallLoopProfiler, MarkerRuntime, SelectConfig};
-use spm::sim::record::{replay, TraceRecorder};
-use spm::sim::run;
+use spm::sim::{run, TraceObserver};
 use spm::workloads::build;
+use spm_store::{StoreReader, StoreWriter};
+use std::io::Cursor;
+
+/// Replays an in-memory store into `observers`, requiring a clean replay.
+fn replay(store: &[u8], observers: &mut [&mut dyn TraceObserver]) {
+    let mut reader = StoreReader::new(Cursor::new(store)).expect("store opens");
+    let report = reader.replay(observers).expect("store replays");
+    assert!(report.is_clean(), "intact store skipped blocks");
+}
 
 /// Profile once, persist the graph, select offline, persist the
 /// markers, detect online: the paper's deployment story, through files.
@@ -43,7 +51,7 @@ fn profile_to_disk_select_offline_detect_online() {
     assert_eq!(direct.firings(), runtime.firings());
 }
 
-/// Record a trace once, then run *both* the profiler and marker
+/// Record a trace store once, then run *both* the profiler and marker
 /// detection from the recorded bytes — no program needed.
 #[test]
 fn analyses_from_recorded_trace_match_live() {
@@ -51,25 +59,27 @@ fn analyses_from_recorded_trace_match_live() {
 
     // Live: profile + record in one pass.
     let mut profiler = CallLoopProfiler::new();
-    let mut recorder = TraceRecorder::new();
+    let mut writer = StoreWriter::with_block_budget(Vec::new(), 4096);
     {
-        let mut obs: Vec<&mut dyn spm::sim::TraceObserver> = vec![&mut profiler, &mut recorder];
+        let mut obs: Vec<&mut dyn TraceObserver> = vec![&mut profiler, &mut writer];
         run(&w.program, &w.ref_input, &mut obs).unwrap();
     }
     let live_graph = profiler.into_graph().unwrap();
-    let trace = recorder.into_bytes();
+    let outcome = writer.finish_with_sink();
+    outcome.result.unwrap();
+    let trace = outcome.sink;
 
     // Offline: select markers from a replayed profile, then detect them
     // in a second replay.
     let mut replayed_profiler = CallLoopProfiler::new();
-    replay(&trace, &mut [&mut replayed_profiler]).unwrap();
+    replay(&trace, &mut [&mut replayed_profiler]);
     let offline_graph = replayed_profiler.into_graph().unwrap();
     let live_sel = select_markers(&live_graph, &SelectConfig::new(10_000));
     let offline_sel = select_markers(&offline_graph, &SelectConfig::new(10_000));
     assert_eq!(live_sel.markers.len(), offline_sel.markers.len());
 
     let mut runtime = MarkerRuntime::new(&offline_sel.markers);
-    replay(&trace, &mut [&mut runtime]).unwrap();
+    replay(&trace, &mut [&mut runtime]);
     assert!(!runtime.firings().is_empty(), "markers fire during replay");
 
     // And the same markers fired at the same points as a live run.

@@ -1,12 +1,14 @@
 //! Property-based fuzzing of the execution substrate: random programs
 //! (bounded loops, nested conditionals, cross-procedure calls, every
-//! access pattern) must uphold the engine/profiler/recorder invariants.
+//! access pattern) must uphold the engine/profiler/trace-store
+//! invariants.
 
 use proptest::prelude::*;
 use spm::core::{partition_with_fallback, select_markers, CallLoopProfiler, SelectConfig};
 use spm::ir::{parse_workload, write_workload, Input, Program, ProgramBuilder, Trip};
-use spm::sim::record::{replay, replay_prefix, TraceRecorder};
 use spm::sim::{run, TraceCorruptor, TraceEvent, TraceObserver};
+use spm_store::{StoreReader, StoreWriter};
+use std::io::Cursor;
 
 /// A generatable statement tree (kept separate from the IR so proptest
 /// can shrink it).
@@ -150,6 +152,16 @@ fn build(specs: &[Vec<Spec>]) -> Program {
     b.build("main").expect("generated programs are well-formed")
 }
 
+/// Runs `program` into an in-memory store with a small block budget (so
+/// damage hits one block of many), also feeding `live` as it runs.
+fn record(program: &Program, input: &Input, live: &mut dyn TraceObserver) -> Vec<u8> {
+    let mut writer = StoreWriter::with_block_budget(Vec::new(), 512);
+    run(program, input, &mut [&mut writer, live]).unwrap();
+    let outcome = writer.finish_with_sink();
+    outcome.result.expect("in-memory store writes");
+    outcome.sink
+}
+
 /// Minimal structural checker shared by the properties.
 #[derive(Default)]
 struct Checker {
@@ -213,17 +225,17 @@ proptest! {
         let input = Input::new("fuzz", seed).with("n", 3);
 
         // Profile + record in one pass; the profiler must never panic
-        // and the trace must replay into an identical profile.
+        // and the store must replay into an identical profile.
         let mut profiler = CallLoopProfiler::new();
-        let mut recorder = TraceRecorder::new();
-        {
-            let mut obs: Vec<&mut dyn TraceObserver> = vec![&mut profiler, &mut recorder];
-            run(&program, &input, &mut obs).unwrap();
-        }
+        let store = record(&program, &input, &mut profiler);
         let live = profiler.into_graph().unwrap();
 
         let mut replayed_profiler = CallLoopProfiler::new();
-        replay(&recorder.into_bytes(), &mut [&mut replayed_profiler]).unwrap();
+        let report = StoreReader::new(Cursor::new(&store[..]))
+            .unwrap()
+            .replay(&mut [&mut replayed_profiler])
+            .unwrap();
+        prop_assert!(report.is_clean());
         let replayed = replayed_profiler.into_graph().unwrap();
 
         prop_assert_eq!(live.edges().len(), replayed.edges().len());
@@ -253,21 +265,29 @@ proptest! {
     ) {
         let program = build(&specs);
         let input = Input::new("fuzz", seed).with("n", 3);
-        let mut recorder = TraceRecorder::new();
-        run(&program, &input, &mut [&mut recorder]).unwrap();
-        let trace = recorder.into_bytes();
+        let store = record(&program, &input, &mut Checker::default());
 
-        // Damage anywhere, header included: decoding stays total —
-        // every outcome is Ok or a typed, renderable DecodeError.
+        // Damage anywhere, header included: opening and replaying stay
+        // total — every outcome is Ok or a typed, renderable StoreError,
+        // and every skipped block carries a renderable DecodeError.
         let c = TraceCorruptor::new(corrupt_seed);
-        for damaged in [c.truncate(&trace, 0), c.bit_flip(&trace, 0, flips)] {
-            if let Err(e) = replay(&damaged, &mut []) {
-                prop_assert!(!e.to_string().is_empty());
-            }
-            let report = replay_prefix(&damaged, &mut []);
-            prop_assert!(report.valid_bytes <= damaged.len());
-            if let Some(e) = report.error {
-                prop_assert!(!e.to_string().is_empty());
+        for damaged in [c.truncate(&store, 0), c.bit_flip(&store, 0, flips)] {
+            let mut reader = match StoreReader::new(Cursor::new(&damaged[..])) {
+                Ok(reader) => reader,
+                Err(e) => {
+                    prop_assert!(!e.to_string().is_empty());
+                    continue;
+                }
+            };
+            for replayed in [reader.replay(&mut []), reader.par_replay(&mut [])] {
+                match replayed {
+                    Ok(report) => {
+                        for skip in &report.skipped {
+                            prop_assert!(!skip.error.to_string().is_empty());
+                        }
+                    }
+                    Err(e) => prop_assert!(!e.to_string().is_empty()),
+                }
             }
         }
     }
