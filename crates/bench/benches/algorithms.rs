@@ -103,6 +103,20 @@ fn bench_kmeans(c: &mut Criterion) {
     group.bench_function("k10_2000x15", |b| {
         b.iter(|| kmeans(&points, &weights, 10, 1).unwrap().distortion)
     });
+    // The regime of the Figures 11/12 inputs that hit the iteration
+    // cap: far fewer distinct points than k, so Lloyd's loop cycles.
+    let prototypes: Vec<Vec<f64>> = (0..27)
+        .map(|_| (0..15).map(|_| rng.gen_range(0.0..1.0)).collect())
+        .collect();
+    let repeated: Vec<Vec<f64>> = (0..8_000)
+        .map(|i| prototypes[(i * 7) % 27].clone())
+        .collect();
+    let sizes: Vec<f64> = (0..repeated.len())
+        .map(|_| rng.gen_range(1.0..100.0))
+        .collect();
+    group.bench_function("k50_27distinct_8000x15", |b| {
+        b.iter(|| kmeans(&repeated, &sizes, 50, 1).unwrap().distortion)
+    });
     group.finish();
 }
 

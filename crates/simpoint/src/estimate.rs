@@ -45,7 +45,10 @@ pub fn relative_error(est: f64, truth: f64) -> f64 {
 /// VLI 95% / 99% configurations; `1.0` keeps everything).
 ///
 /// The kept clusters retain their original weights — [`estimate`]
-/// renormalizes — and assignments are left untouched.
+/// renormalizes — and are ordered heaviest first. `assignments` are
+/// remapped to the kept clusters' new indices; intervals of a dropped
+/// cluster get `usize::MAX`, which [`cluster_covs`] and [`error_bound`]
+/// skip.
 pub fn filter_top(simpoints: &SimPoints, fraction: f64) -> SimPoints {
     let mut order: Vec<usize> = (0..simpoints.clusters.len()).collect();
     order.sort_by(|&a, &b| {
@@ -54,18 +57,25 @@ pub fn filter_top(simpoints: &SimPoints, fraction: f64) -> SimPoints {
             .partial_cmp(&simpoints.clusters[a].weight)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
+    let mut remap = vec![usize::MAX; simpoints.clusters.len()];
     let mut kept = Vec::new();
     let mut covered = 0.0;
     for c in order {
         if covered >= fraction && !kept.is_empty() {
             break;
         }
+        remap[c] = kept.len();
         kept.push(simpoints.clusters[c]);
         covered += simpoints.clusters[c].weight;
     }
+    let assignments = simpoints
+        .assignments
+        .iter()
+        .map(|&a| remap.get(a).copied().unwrap_or(usize::MAX))
+        .collect();
     SimPoints {
         k: kept.len(),
-        assignments: simpoints.assignments.clone(),
+        assignments,
         clusters: kept,
     }
 }
@@ -186,6 +196,35 @@ mod tests {
         assert_eq!(weights, vec![0.6, 0.3]);
         // Full filter keeps everything.
         assert_eq!(filter_top(&sp, 1.0).k, 3);
+    }
+
+    #[test]
+    fn filter_remaps_assignments_to_kept_clusters() {
+        let sp = sample_simpoints();
+        let f = filter_top(&sp, 0.85);
+        // Kept: old cluster 2 (slot 0) and old cluster 0 (slot 1);
+        // old cluster 1 is dropped.
+        assert_eq!(f.assignments, vec![1, 1, usize::MAX, 0, 0, 0]);
+        for (slot, info) in f.clusters.iter().enumerate() {
+            assert_eq!(f.assignments[info.representative], slot);
+        }
+        // Filtering again keeps the dropped intervals dropped.
+        assert_eq!(
+            filter_top(&f, 0.5).assignments,
+            vec![usize::MAX, usize::MAX, usize::MAX, 0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn filtered_covs_match_the_unfiltered_clusters() {
+        let sp = sample_simpoints();
+        let values = vec![1.0, 3.0, 2.0, 5.0, 6.0, 7.0];
+        let weights = vec![1.0, 2.0, 1.0, 1.0, 1.0, 3.0];
+        let full = cluster_covs(&values, &weights, &sp);
+        let f = filter_top(&sp, 0.85);
+        assert_eq!(cluster_covs(&values, &weights, &f), vec![full[2], full[0]]);
+        let bound = (0.6 * full[2] + 0.3 * full[0]) / 0.9;
+        assert!((error_bound(&values, &weights, &f) - bound).abs() < 1e-12);
     }
 
     #[test]

@@ -1,5 +1,54 @@
 //! Weighted k-means with k-means++ seeding, and the BIC model-selection
 //! score.
+//!
+//! # Exactness of the fast Lloyd loop
+//!
+//! [`kmeans`] runs plain Lloyd iteration — assignment by a full scan
+//! with strict `<` (ties go to the lowest centroid index), weighted-mean
+//! update, empty clusters reseeded at the farthest point — for at most
+//! 100 iterations. Two shortcuts make it do far less work while
+//! returning a bit-identical [`Clustering`]: the same assignments,
+//! centroid and distortion bits, `iterations` and `converged`. A test
+//! oracle keeps the plain loop and compares the two bit for bit.
+//!
+//! **Cycle detection.** One iteration is a pure function of the state
+//! `(assignments, centroids)`. When an input has fewer distinct points
+//! than `k`, the reseed stacks duplicate centroids on an occupied point
+//! and the lowest-index tie-break moves points back and forth between
+//! them: the state cycles and the plain loop burns all 100 iterations.
+//! Brent's algorithm runs over the state after each iteration from
+//! iteration 1 on, keeping one snapshot compared bitwise
+//! (`f64::to_bits`). Iteration 0 is left out because its "no change"
+//! does not stop the loop, so a repeat of its state is not a cycle the
+//! loop is stuck in. Every state of a cycle found after iteration 1 has
+//! already failed the convergence test, so the loop can never converge
+//! in it. On finding period `p` after iteration `t`, only
+//! `(100 − t) mod p` more iterations run; they land on exactly the
+//! state the capped loop ends in, which is returned with
+//! `iterations = 100` and `converged = false`.
+//!
+//! **Hamerly bounds.** Per point, an upper bound on the distance to its
+//! centroid and a lower bound on the distance to every other centroid;
+//! per centroid, half the distance to its nearest other centroid
+//! (`half_sep`). After each update step (reseeds included) the bounds
+//! move by how far each centroid moved. A point keeps its centroid
+//! without a scan only when `upper + tol < max(half_sep[a], lower)`,
+//! with `tol = 1e-9·R` and `R = max‖pᵢ‖`. That is safe because:
+//!
+//! * centroids are non-negative-weighted means or copies of points, so
+//!   every distance is at most `2R`;
+//! * the rounding error of a bound after at most 100 updates, and of a
+//!   computed squared distance, is orders of magnitude below `tol`, so
+//!   a skipped point's centroid wins the full scan's comparisons by a
+//!   margin no rounding can flip;
+//! * duplicate centroids give `half_sep = 0` and `lower ≤ upper`, so
+//!   their points are never skipped and the tie-break still happens in
+//!   the full scan.
+//!
+//! Every point that is not skipped gets the full scan: the same
+//! left-to-right squared-distance summation and the same strict `<`.
+//! Pruning is off when `R` is so large that a squared distance could
+//! overflow, and from the first non-finite centroid on.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -162,7 +211,7 @@ pub fn kmeans(
 }
 
 /// Emits the per-run convergence counter when a recorder is installed.
-fn report(clustering: Clustering, n: usize) -> Clustering {
+fn report((clustering, cycle_period): (Clustering, u64), n: usize) -> Clustering {
     if spm_obs::enabled() {
         spm_obs::counter_with(
             "simpoint/kmeans_iters",
@@ -171,19 +220,31 @@ fn report(clustering: Clustering, n: usize) -> Clustering {
                 ("k", (clustering.k() as u64).into()),
                 ("n", (n as u64).into()),
                 ("converged", clustering.converged.into()),
+                ("cycle_period", cycle_period.into()),
             ],
         );
     }
     clustering
 }
 
-/// The algorithm proper; inputs already validated and sanitized.
-fn kmeans_unchecked(points: &[Vec<f64>], weights: &[f64], k: usize, seed: u64) -> Clustering {
-    let n = points.len();
-    let d = points[0].len();
-    let mut rng = SmallRng::seed_from_u64(seed);
+/// Lloyd iteration cap.
+const MAX_ITERS: u64 = 100;
 
-    // k-means++ seeding (weighted by point weight * squared distance).
+/// The algorithm proper; inputs already validated and sanitized.
+/// Returns the clustering and the period of the cycle the iteration
+/// ended in (0 when there is none).
+fn kmeans_unchecked(
+    points: &[Vec<f64>],
+    weights: &[f64],
+    k: usize,
+    seed: u64,
+) -> (Clustering, u64) {
+    lloyd(points, weights, seed_centroids(points, weights, k, seed))
+}
+
+/// k-means++ seeding (weighted by point weight * squared distance).
+fn seed_centroids(points: &[Vec<f64>], weights: &[f64], k: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = SmallRng::seed_from_u64(seed);
     let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
     let first = weighted_sample(&mut rng, weights);
     centroids.push(points[first].clone());
@@ -203,7 +264,278 @@ fn kmeans_unchecked(points: &[Vec<f64>], weights: &[f64], k: usize, seed: u64) -
             d2[i] = d2[i].min(sq_dist(p, &centroids[newest]));
         }
     }
+    centroids
+}
 
+/// Lloyd's loop from the given centroids, with the two exact shortcuts
+/// of the module docs: Hamerly bounds and cycle detection.
+fn lloyd(points: &[Vec<f64>], weights: &[f64], mut centroids: Vec<Vec<f64>>) -> (Clustering, u64) {
+    let mut assignments = vec![0usize; points.len()];
+    let mut bounds = Bounds::new(points, centroids.len());
+    let mut cycle = Cycle::default();
+    let mut last = MAX_ITERS;
+    let mut iterations = 0;
+    let mut converged = false;
+    while iterations < last {
+        iterations += 1;
+        let changed = bounds.assign(points, &centroids, &mut assignments);
+        if !changed && iterations > 1 {
+            converged = true;
+            break;
+        }
+        let before = bounds.live.then(|| centroids.clone());
+        update(points, weights, &assignments, &mut centroids);
+        if let Some(before) = before {
+            bounds.shift(&before, &centroids, &assignments);
+        }
+        if let Some(period) = cycle.observe(iterations, &assignments, &centroids) {
+            // Only the iterations that land on the cap's state remain.
+            last = iterations + (MAX_ITERS - iterations) % period;
+        }
+    }
+    if cycle.period > 0 {
+        iterations = MAX_ITERS;
+    }
+
+    let distortion = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| weights[i] * sq_dist(p, &centroids[assignments[i]]))
+        .sum();
+    let clustering = Clustering {
+        assignments,
+        centroids,
+        distortion,
+        iterations,
+        converged,
+    };
+    (clustering, cycle.period)
+}
+
+/// The full assignment scan of one point: the first centroid at minimum
+/// squared distance (strict `<`, so ties go to the lowest index), that
+/// distance, and the smallest squared distance to any other centroid.
+fn nearest(p: &[f64], centroids: &[Vec<f64>]) -> (usize, f64, f64) {
+    let (mut best, mut best_d, mut second_d) = (0, f64::INFINITY, f64::INFINITY);
+    for (c, centroid) in centroids.iter().enumerate() {
+        let dist = sq_dist(p, centroid);
+        if dist < best_d {
+            second_d = best_d;
+            best_d = dist;
+            best = c;
+        } else if dist < second_d {
+            second_d = dist;
+        }
+    }
+    (best, best_d, second_d)
+}
+
+/// Update step: weighted means, then every empty cluster reseeded at
+/// the point currently farthest from its assigned centroid (the last
+/// such point on ties).
+fn update(points: &[Vec<f64>], weights: &[f64], assignments: &[usize], centroids: &mut [Vec<f64>]) {
+    let d = points[0].len();
+    let mut sums = vec![vec![0.0; d]; centroids.len()];
+    let mut wsum = vec![0.0; centroids.len()];
+    for (i, p) in points.iter().enumerate() {
+        let c = assignments[i];
+        wsum[c] += weights[i];
+        for (s, x) in sums[c].iter_mut().zip(p) {
+            *s += weights[i] * x;
+        }
+    }
+    for (c, centroid) in centroids.iter_mut().enumerate() {
+        if wsum[c] > 0.0 {
+            for (dst, s) in centroid.iter_mut().zip(&sums[c]) {
+                *dst = s / wsum[c];
+            }
+        }
+    }
+    // Each point's distance is computed once; reseeding cluster `c`
+    // refreshes only the points assigned to it (zero-weight points can
+    // be assigned to an "empty" cluster).
+    let mut far_d: Option<Vec<f64>> = None;
+    for c in 0..centroids.len() {
+        if wsum[c] > 0.0 {
+            continue;
+        }
+        let far_d = far_d.get_or_insert_with(|| {
+            points
+                .iter()
+                .zip(assignments)
+                .map(|(p, &a)| sq_dist(p, &centroids[a]))
+                .collect()
+        });
+        let far = (0..points.len())
+            .max_by(|&a, &b| {
+                far_d[a]
+                    .partial_cmp(&far_d[b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .unwrap_or(0);
+        centroids[c] = points[far].clone();
+        for (i, p) in points.iter().enumerate() {
+            if assignments[i] == c {
+                far_d[i] = sq_dist(p, &centroids[c]);
+            }
+        }
+    }
+}
+
+/// Hamerly's bounds ("Making k-means even faster", SDM 2010), in
+/// Euclidean (not squared) distance.
+struct Bounds {
+    /// Pruning is on: the points' scale cannot overflow a squared
+    /// distance, and every centroid has stayed finite.
+    live: bool,
+    /// Skip margin, `1e-9 · max‖p‖`.
+    tol: f64,
+    /// Per point, at least the distance to its assigned centroid.
+    upper: Vec<f64>,
+    /// Per point, at most the distance to every other centroid.
+    lower: Vec<f64>,
+    /// Per centroid, half the distance to its nearest other centroid.
+    half_sep: Vec<f64>,
+}
+
+impl Bounds {
+    fn new(points: &[Vec<f64>], k: usize) -> Self {
+        let radius = points
+            .iter()
+            .map(|p| p.iter().map(|x| x * x).sum::<f64>().sqrt())
+            .fold(0.0, f64::max);
+        Self {
+            live: radius < 1e150,
+            tol: 1e-9 * radius,
+            upper: vec![f64::INFINITY; points.len()],
+            lower: vec![0.0; points.len()],
+            half_sep: vec![0.0; k],
+        }
+    }
+
+    /// Assignment step; returns whether any assignment changed. A point
+    /// whose bounds prove its centroid nearest by more than `tol` keeps
+    /// it; every other point gets the full scan.
+    fn assign(
+        &mut self,
+        points: &[Vec<f64>],
+        centroids: &[Vec<f64>],
+        assignments: &mut [usize],
+    ) -> bool {
+        if self.live {
+            for (c, half) in self.half_sep.iter_mut().enumerate() {
+                let nearest = centroids
+                    .iter()
+                    .enumerate()
+                    .filter(|&(o, _)| o != c)
+                    .map(|(_, other)| sq_dist(&centroids[c], other))
+                    .fold(f64::INFINITY, f64::min);
+                *half = 0.5 * nearest.sqrt();
+            }
+        }
+        let mut changed = false;
+        for (i, p) in points.iter().enumerate() {
+            let a = assignments[i];
+            if self.live {
+                let bound = self.half_sep[a].max(self.lower[i]);
+                if self.upper[i] + self.tol < bound {
+                    continue;
+                }
+                self.upper[i] = sq_dist(p, &centroids[a]).sqrt();
+                if self.upper[i] + self.tol < bound {
+                    continue;
+                }
+            }
+            let (best, best_d, second_d) = nearest(p, centroids);
+            self.upper[i] = best_d.sqrt();
+            self.lower[i] = second_d.sqrt();
+            if best != a {
+                assignments[i] = best;
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Loosens the bounds by how far each centroid moved in the update
+    /// step (reseeds included).
+    fn shift(&mut self, before: &[Vec<f64>], after: &[Vec<f64>], assignments: &[usize]) {
+        if after.iter().flatten().any(|x| !x.is_finite()) {
+            self.live = false;
+            return;
+        }
+        let moved: Vec<f64> = before
+            .iter()
+            .zip(after)
+            .map(|(b, a)| sq_dist(b, a).sqrt())
+            .collect();
+        // The largest move, its cluster, and the largest among the rest.
+        let (mut top, mut first, mut second) = (0, 0.0, 0.0);
+        for (c, &m) in moved.iter().enumerate() {
+            if m > first {
+                (top, first, second) = (c, m, first);
+            } else if m > second {
+                second = m;
+            }
+        }
+        for (i, &a) in assignments.iter().enumerate() {
+            self.upper[i] += moved[a];
+            self.lower[i] -= if a == top { second } else { first };
+        }
+    }
+}
+
+/// Brent's cycle detection over the loop state `(assignments,
+/// centroids)` after each iteration, starting at iteration 1. One
+/// snapshot is kept and compared bitwise.
+#[derive(Default)]
+struct Cycle {
+    assignments: Vec<usize>,
+    centroid_bits: Vec<u64>,
+    /// Iteration the snapshot was taken after.
+    at: u64,
+    /// Brent's power of two: the snapshot moves when `at` falls this far
+    /// behind.
+    power: u64,
+    /// The cycle's period once found, else 0.
+    period: u64,
+}
+
+impl Cycle {
+    /// Records the state after iteration `t`; returns the period the
+    /// first time the state repeats.
+    fn observe(&mut self, t: u64, assignments: &[usize], centroids: &[Vec<f64>]) -> Option<u64> {
+        if self.period > 0 {
+            return None;
+        }
+        let bits = || centroids.iter().flatten().map(|x| x.to_bits());
+        if t > 1 && self.assignments == assignments && self.centroid_bits.iter().copied().eq(bits())
+        {
+            self.period = t - self.at;
+            return Some(self.period);
+        }
+        if t == 1 || t - self.at == self.power {
+            self.assignments.clear();
+            self.assignments.extend_from_slice(assignments);
+            self.centroid_bits.clear();
+            self.centroid_bits.extend(bits());
+            self.power = if t == 1 { 1 } else { 2 * self.power };
+            self.at = t;
+        }
+        None
+    }
+}
+
+/// Lloyd's loop without any shortcut: the oracle the fast loop must
+/// match bit for bit.
+#[cfg(test)]
+fn lloyd_reference(
+    points: &[Vec<f64>],
+    weights: &[f64],
+    mut centroids: Vec<Vec<f64>>,
+) -> Clustering {
+    let n = points.len();
+    let d = points[0].len();
     let mut assignments = vec![0usize; n];
     let mut iterations = 0u64;
     let mut converged = false;
@@ -499,7 +831,133 @@ mod tests {
         assert!((cw.iter().sum::<f64>() - total).abs() < 1e-9);
     }
 
+    /// Everything the fast loop must reproduce, with floats as bits.
+    type Bits = (Vec<usize>, Vec<u64>, u64, u64, bool);
+
+    fn bits(c: &Clustering) -> Bits {
+        (
+            c.assignments.clone(),
+            c.centroids.iter().flatten().map(|x| x.to_bits()).collect(),
+            c.distortion.to_bits(),
+            c.iterations,
+            c.converged,
+        )
+    }
+
+    /// `kmeans` and the plain loop from the same seeding, as bits.
+    fn fast_and_reference(
+        points: &[Vec<f64>],
+        weights: &[f64],
+        k: usize,
+        seed: u64,
+    ) -> (Bits, Bits) {
+        let fast = kmeans(points, weights, k, seed).unwrap();
+        let seeds = seed_centroids(points, weights, k.min(points.len()), seed);
+        (bits(&fast), bits(&lloyd_reference(points, weights, seeds)))
+    }
+
+    /// Weights in `0..10`, about one in five exactly zero.
+    fn random_weights(rng: &mut SmallRng, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|_| {
+                if rng.gen_range(0..5) == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..10.0)
+                }
+            })
+            .collect()
+    }
+
+    /// `copies` of each of `distinct` random prototypes in `d`
+    /// dimensions, in a shuffled order.
+    fn repeated_prototypes(
+        rng: &mut SmallRng,
+        distinct: usize,
+        copies: usize,
+        d: usize,
+    ) -> Vec<Vec<f64>> {
+        let prototypes: Vec<Vec<f64>> = (0..distinct)
+            .map(|_| (0..d).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .collect();
+        let mut points: Vec<Vec<f64>> = (0..distinct * copies)
+            .map(|i| prototypes[i % distinct].clone())
+            .collect();
+        for i in (1..points.len()).rev() {
+            points.swap(i, rng.gen_range(0..=i));
+        }
+        points
+    }
+
+    #[test]
+    fn cycling_fit_matches_reference_at_the_cap() {
+        // Fewer distinct points than k: the regime the cycle shortcut
+        // exists for. The plain loop runs into the 100-iteration cap.
+        let mut rng = SmallRng::seed_from_u64(27);
+        let points = repeated_prototypes(&mut rng, 27, 300, 15);
+        let weights: Vec<f64> = (0..points.len())
+            .map(|_| rng.gen_range(1.0..100.0))
+            .collect();
+        let seeds = seed_centroids(&points, &weights, 50, 5);
+        let (fast, period) = lloyd(&points, &weights, seeds.clone());
+        assert_eq!(fast.iterations, 100);
+        assert!(!fast.converged);
+        assert!(period > 0, "the fit must end in a detected cycle");
+        assert_eq!(
+            bits(&fast),
+            bits(&lloyd_reference(&points, &weights, seeds))
+        );
+    }
+
     proptest! {
+        #[test]
+        fn matches_reference_on_random_points(
+            seed in 0u64..1_000_000,
+            n in 1usize..160,
+            d in 1usize..6,
+            k in 1usize..12,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let points: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..d).map(|_| rng.gen_range(-5.0..5.0)).collect())
+                .collect();
+            let weights = random_weights(&mut rng, n);
+            let (fast, reference) = fast_and_reference(&points, &weights, k, seed);
+            prop_assert_eq!(fast, reference);
+        }
+
+        #[test]
+        fn matches_reference_when_cycling(
+            seed in 0u64..1_000_000,
+            distinct in 1usize..=8,
+            copies in 1usize..=400,
+            extra_k in 1usize..12,
+            zero_weights in any::<bool>(),
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let points = repeated_prototypes(&mut rng, distinct, copies, 4);
+            let weights = if zero_weights {
+                random_weights(&mut rng, points.len())
+            } else {
+                (0..points.len()).map(|_| rng.gen_range(1.0..10.0)).collect()
+            };
+            let (fast, reference) = fast_and_reference(&points, &weights, distinct + extra_k, seed);
+            prop_assert_eq!(fast, reference);
+        }
+
+        #[test]
+        fn matches_reference_at_k_one_and_k_n(seed in 0u64..1_000_000, n in 1usize..60) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let points: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..3).map(|_| rng.gen_range(0.0..1.0)).collect())
+                .collect();
+            let weights = random_weights(&mut rng, n);
+            for k in [1, n] {
+                let (fast, reference) = fast_and_reference(&points, &weights, k, seed);
+                prop_assert_eq!(fast, reference);
+            }
+        }
+
         #[test]
         fn distortion_non_increasing_in_k(
             seed in 0u64..1000,

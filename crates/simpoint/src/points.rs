@@ -74,7 +74,9 @@ pub struct ClusterInfo {
 pub struct SimPoints {
     /// Chosen number of phases.
     pub k: usize,
-    /// Cluster id per interval.
+    /// Cluster id per interval: an index into `clusters`, or
+    /// `usize::MAX` for an interval whose cluster
+    /// [`filter_top`](crate::filter_top) dropped.
     pub assignments: Vec<usize>,
     /// Per-cluster simulation point and weight, by cluster id.
     pub clusters: Vec<ClusterInfo>,
@@ -130,7 +132,15 @@ pub fn pick_simpoints(
     if vectors.is_empty() {
         return Err(KmeansError::NoPoints);
     }
-    let projected = project(vectors, config.dims, config.seed);
+    let projected = {
+        let _span = spm_obs::span("simpoint/project");
+        project(vectors, config.dims, config.seed)
+    };
+    let fit = |k: usize| {
+        let mut span = spm_obs::span("simpoint/kmeans");
+        span.field("k", k);
+        kmeans(&projected, weights, k, fit_seed(config.seed, k))
+    };
 
     // Each k's fit is an independent deterministic function of
     // (projected, weights, k, seed), so the schedule fans out across
@@ -138,8 +148,11 @@ pub fn pick_simpoints(
     // lowest-k error, matching the serial loop exactly.
     let schedule = k_schedule(config.kmax, vectors.len());
     let scored: Vec<(usize, Clustering, f64)> = spm_par::try_par_map(&schedule, |&k| {
-        let c = kmeans(&projected, weights, k, fit_seed(config.seed, k))?;
-        let score = bic(&c, &projected, weights);
+        let c = fit(k)?;
+        let score = {
+            let _span = spm_obs::span("simpoint/bic");
+            bic(&c, &projected, weights)
+        };
         Ok((k, c, score))
     })?;
     let finite: Vec<f64> = scored
@@ -158,7 +171,7 @@ pub fn pick_simpoints(
     // threshold (with a -inf threshold, that is k = 1).
     let clustering = match scored.into_iter().find(|(_, _, score)| *score >= threshold) {
         Some((_, c, _)) => c,
-        None => kmeans(&projected, weights, 1, fit_seed(config.seed, 1))?,
+        None => fit(1)?,
     };
 
     let total_w: f64 = weights.iter().sum();
