@@ -176,11 +176,10 @@ impl IntervalBbvCollector {
             }
         }
     }
+}
 
-    /// Processes one event; shared by the per-event and batch observer
-    /// entry points so the batch loop runs with static dispatch.
-    #[inline]
-    fn step(&mut self, icount: u64, event: &TraceEvent) {
+impl TraceObserver for IntervalBbvCollector {
+    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
         match *event {
             TraceEvent::BlockExec { block, instrs, .. } => {
                 let block_start = icount - u64::from(instrs);
@@ -198,18 +197,6 @@ impl IntervalBbvCollector {
                 self.cut(icount.max(self.last_icount), phase);
             }
             _ => {}
-        }
-    }
-}
-
-impl TraceObserver for IntervalBbvCollector {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.step(icount, event);
-    }
-
-    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
-        for (icount, event) in batch {
-            self.step(*icount, event);
         }
     }
 }

@@ -28,15 +28,6 @@ use spm_serve::{send_events, SendConfig, Server, ServerConfig, SessionConfig};
 use spm_sim::{run, TraceEvent, TraceObserver};
 use std::time::Instant;
 
-#[derive(Default)]
-struct Tape(Vec<(u64, TraceEvent)>);
-
-impl TraceObserver for Tape {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.0.push((icount, *event));
-    }
-}
-
 fn usage(message: &str) -> ! {
     eprintln!("error[usage]: {message}");
     eprintln!("usage: serve_bench [--sessions N] [--workload NAME] [--serve-dir DIR] [--out PATH]");
@@ -94,17 +85,14 @@ fn main() {
     let Some(w) = spm_workloads::build(&workload) else {
         usage(&format!("unknown workload `{workload}`"))
     };
-    let mut tape = Tape::default();
-    if let Err(e) = run(&w.program, &w.train_input, &mut [&mut tape]) {
+    let mut events: Vec<(u64, TraceEvent)> = Vec::new();
+    if let Err(e) = run(&w.program, &w.train_input, &mut [&mut events]) {
         fail("run", &e.to_string());
     }
-    let events = tape.0;
     let select = SelectConfig::new(10_000);
     let batch_markers = {
         let mut profiler = CallLoopProfiler::new();
-        for (icount, event) in &events {
-            profiler.on_event(*icount, event);
-        }
+        profiler.on_batch(&events);
         match profiler.into_graph() {
             Ok(graph) => write_markers(&select_markers(&graph, &select).markers),
             Err(e) => fail("profile", &e.to_string()),

@@ -58,16 +58,6 @@ impl Clock for NoSleep {
     fn sleep(&self, _duration: std::time::Duration) {}
 }
 
-/// Records every delivered event, for prefix-equality checks.
-#[derive(Default)]
-struct Collect(Vec<(u64, TraceEvent)>);
-
-impl TraceObserver for Collect {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.0.push((icount, *event));
-    }
-}
-
 /// One simulated kill and what recovery made of it.
 #[derive(Debug, Clone)]
 pub struct CrashPoint {
@@ -146,9 +136,9 @@ fn record_stream(file: &str) -> Result<Vec<(u64, TraceEvent)>, SpmError> {
                 message: "no input blocks".into(),
             },
         })?;
-    let mut flat = Collect::default();
+    let mut flat = Vec::new();
     run(&parsed.program, &input, &mut [&mut flat]).map_err(SpmError::Run)?;
-    Ok(flat.0)
+    Ok(flat)
 }
 
 /// Replays a recorded stream into a writer backed by `plan`, returning
@@ -168,9 +158,7 @@ fn pack_through(
             base_delay: std::time::Duration::ZERO,
         })
         .clock(Box::new(NoSleep));
-    for (icount, event) in events {
-        writer.on_event(*icount, event);
-    }
+    writer.on_batch(events);
     let outcome = writer.finish_with_sink();
     (outcome.result, outcome.committed, outcome.sink)
 }
@@ -179,9 +167,7 @@ fn pack_through(
 /// profiling: truncated prefixes have frames still open).
 fn markers_of(events: &[(u64, TraceEvent)]) -> Result<String, SpmError> {
     let mut profiler = CallLoopProfiler::lenient();
-    for (icount, event) in events {
-        profiler.on_event(*icount, event);
-    }
+    profiler.on_batch(events);
     let graph = profiler.into_graph().map_err(SpmError::Profile)?;
     let outcome = select_markers(&graph, &SelectConfig::new(crate::ILOWER));
     Ok(write_markers(&outcome.markers))
@@ -193,15 +179,15 @@ type Recovered = (u64, u64, Vec<(u64, TraceEvent)>);
 /// Opens a torn image and replays everything it recovered.
 fn recover(torn: &[u8]) -> Option<Recovered> {
     let mut reader = StoreReader::new(Cursor::new(torn.to_vec())).ok()?;
-    let mut got = Collect::default();
+    let mut got = Vec::new();
     let report = reader.replay(&mut [&mut got]).ok()?;
     if !report.is_clean() {
         // A recovered index only lists checksum-verified blocks, so a
         // skip here is itself an invariant violation; surface it as
         // "recovered fewer events than the info claimed".
-        return Some((report.events, report.blocks, got.0));
+        return Some((report.events, report.blocks, got));
     }
-    Some((reader.info().events, reader.info().blocks, got.0))
+    Some((reader.info().events, reader.info().blocks, got))
 }
 
 /// Checks one torn image against the durability invariant.

@@ -1,12 +1,12 @@
-//! Ingest-throughput figure: one recorded event stream decoded five
-//! ways — sequential `spmstk01` store replay through the legacy
-//! per-event virtual-dispatch path, the same replay with batched
-//! observer delivery (the production hot path), parallel store replay,
-//! sequential replay of an LZ-compressed container, and recovery-path
-//! replay of a store whose ingest was killed mid-write by the seeded
+//! Ingest-throughput figure: one recorded event stream decoded four
+//! ways — sequential `spmstk01` store replay (one batch per block, the
+//! production hot path), parallel store replay, sequential replay of
+//! an LZ-compressed container, and recovery-path replay of a store
+//! whose ingest was killed mid-write by the seeded
 //! [`spm_store::FaultyIo`] failpoint disk (the crash-safety overhead of
 //! DESIGN.md §12: transient-retry absorption on the way in, torn-tail
-//! recovery on the way out).
+//! recovery on the way out). Every row must replay cleanly: a skipped
+//! block fails the figure.
 //!
 //! Timed regions measure decode work only: containers are built,
 //! written to disk, and readers opened (file open, memory-map, header
@@ -28,18 +28,18 @@
 use crate::{analysis_error, workload};
 use spm_core::SpmError;
 use spm_sim::{run, TraceEvent, TraceObserver};
-use spm_store::{Compression, FaultPlan, FaultyIo, RetryPolicy, StoreReader, StoreWriter};
+use spm_store::{
+    Compression, FaultPlan, FaultyIo, RetryPolicy, StoreError, StoreReader, StoreReplayReport,
+    StoreWriter,
+};
 use std::io::Cursor;
 use std::time::Instant;
 
 /// Workload whose `ref` input feeds the ingest measurement.
 pub const INGEST_WORKLOAD: &str = "gzip";
 
-/// The measured decode paths, in report order. `store` keeps the
-/// legacy one-virtual-call-per-event delivery as the regression
-/// baseline; `store-batch` is the production batched path.
-pub const DECODERS: [&str; 5] = [
-    "store",
+/// The measured decode paths, in report order.
+pub const DECODERS: [&str; 4] = [
     "store-batch",
     "store-par",
     "store-compressed",
@@ -54,8 +54,7 @@ const FAULT_SEED: u64 = crate::ANALYSIS_SEED ^ 0x1265;
 /// the faulted path.
 const TRANSIENT_ONE_IN: u32 = 16;
 
-/// Counts delivered events without retaining them, taking the batched
-/// delivery path when the decoder offers it.
+/// Counts delivered events without retaining them.
 struct Count(u64);
 
 impl TraceObserver for Count {
@@ -65,23 +64,6 @@ impl TraceObserver for Count {
 
     fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
         self.0 += batch.len() as u64;
-    }
-}
-
-/// Forces one virtual call per event — the pre-batching store hot
-/// path, kept as a measured row so the figure shows what batched
-/// delivery buys over it.
-struct PerEvent<'a>(&'a mut dyn TraceObserver);
-
-impl TraceObserver for PerEvent<'_> {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.0.on_event(icount, event);
-    }
-
-    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
-        for (icount, event) in batch {
-            self.0.on_event(*icount, event);
-        }
     }
 }
 
@@ -106,7 +88,7 @@ pub struct IngestData {
     /// recovers the committed prefix of an ingest killed mid-write, so
     /// it is at most `events` and at least the crash-time commit
     /// watermark.
-    pub decoded: [u64; 5],
+    pub decoded: [u64; 4],
     /// Events the writer had durably committed when the faulted ingest
     /// was killed (the floor for `decoded[store-faulted]`).
     pub faulted_committed: u64,
@@ -140,25 +122,46 @@ fn opened_store(
     Ok((path, reader))
 }
 
-/// Times one decode path under an `ingest/<name>` span, reporting its
-/// throughput as an `ingest/<name>_events_per_sec` gauge.
+/// Times one replay into a counting observer under an `ingest/<name>`
+/// span, reporting its throughput as an `ingest/<name>_events_per_sec`
+/// gauge, and returns the events delivered.
+///
+/// # Errors
+///
+/// The replay's error, or a [`require_clean`] failure.
 fn timed_decode(
     name: &str,
     events: u64,
-    f: impl FnOnce() -> Result<u64, SpmError>,
+    replay: impl FnOnce(&mut [&mut dyn TraceObserver]) -> Result<StoreReplayReport, StoreError>,
 ) -> Result<u64, SpmError> {
-    let span = spm_obs::span(&format!("ingest/{name}"));
+    let stage = format!("ingest/{name}");
+    let mut count = Count(0);
+    let span = spm_obs::span(&stage);
     let start = Instant::now();
-    let decoded = f()?;
+    let report = replay(&mut [&mut count]).map_err(|e| analysis_error(&stage, e))?;
     let secs = start.elapsed().as_secs_f64();
     drop(span);
+    require_clean(&stage, &report)?;
     if secs > 0.0 {
-        spm_obs::gauge(
-            &format!("ingest/{name}_events_per_sec"),
-            events as f64 / secs,
-        );
+        spm_obs::gauge(&format!("{stage}_events_per_sec"), events as f64 / secs);
     }
-    Ok(decoded)
+    Ok(count.0)
+}
+
+/// Fails unless `report` delivered every block: each row replays a
+/// container its own recovery path has verified, so a skip is a bug.
+fn require_clean(stage: &str, report: &StoreReplayReport) -> Result<(), SpmError> {
+    if report.is_clean() {
+        return Ok(());
+    }
+    Err(analysis_error(
+        stage,
+        format!(
+            "replay skipped {} block(s), {} event(s)",
+            report.skipped.len(),
+            report.skipped_events()
+        ),
+    ))
 }
 
 /// Records the workload once into both containers, then measures every
@@ -183,54 +186,20 @@ pub fn compute() -> Result<IngestData, SpmError> {
         .finish()
         .map_err(|e| analysis_error("ingest/pack-compressed", e))?;
 
-    // Legacy path: batched decode, but one virtual call per event at
-    // the observer boundary.
-    let (store_path, mut reader) = opened_store("plain", &store_buf)?;
-    let store_decoded = timed_decode("store", packed.events, || {
-        let mut count = Count(0);
-        let mut per_event = PerEvent(&mut count);
-        let report = reader
-            .replay(&mut [&mut per_event])
-            .map_err(|e| analysis_error("ingest/store", e))?;
-        debug_assert!(report.is_clean());
-        Ok(count.0)
-    })?;
-
     // Production path: whole blocks delivered per observer call.
-    let mut reader =
-        StoreReader::open(&store_path).map_err(|e| analysis_error("ingest/store-batch", e))?;
-    let batch_decoded = timed_decode("store-batch", packed.events, || {
-        let mut count = Count(0);
-        let report = reader
-            .replay(&mut [&mut count])
-            .map_err(|e| analysis_error("ingest/store-batch", e))?;
-        debug_assert!(report.is_clean());
-        Ok(count.0)
-    })?;
+    let (store_path, mut reader) = opened_store("plain", &store_buf)?;
+    let batch_decoded = timed_decode("store-batch", packed.events, |obs| reader.replay(obs))?;
 
     let mut reader =
         StoreReader::open(&store_path).map_err(|e| analysis_error("ingest/store-par", e))?;
-    let par_decoded = timed_decode("store-par", packed.events, || {
-        let mut count = Count(0);
-        let report = reader
-            .par_replay(&mut [&mut count])
-            .map_err(|e| analysis_error("ingest/store-par", e))?;
-        debug_assert!(report.is_clean());
-        Ok(count.0)
-    })?;
+    let par_decoded = timed_decode("store-par", packed.events, |obs| reader.par_replay(obs))?;
     drop(reader);
     std::fs::remove_file(&store_path).ok();
     drop(store_buf);
 
     let (lz_path, mut reader) = opened_store("lz", &lz_buf)?;
-    let compressed_decoded = timed_decode("store-compressed", packed.events, || {
-        let mut count = Count(0);
-        let report = reader
-            .replay(&mut [&mut count])
-            .map_err(|e| analysis_error("ingest/store-compressed", e))?;
-        debug_assert!(report.is_clean());
-        Ok(count.0)
-    })?;
+    let compressed_decoded =
+        timed_decode("store-compressed", packed.events, |obs| reader.replay(obs))?;
     drop(reader);
     std::fs::remove_file(&lz_path).ok();
 
@@ -244,14 +213,7 @@ pub fn compute() -> Result<IngestData, SpmError> {
     let mut reader = StoreReader::new(Cursor::new(torn))
         .map_err(|e| analysis_error("ingest/store-faulted", e))?;
     let recovered = reader.info().events;
-    let faulted_decoded = timed_decode("store-faulted", recovered, || {
-        let mut count = Count(0);
-        let report = reader
-            .replay(&mut [&mut count])
-            .map_err(|e| analysis_error("ingest/store-faulted", e))?;
-        debug_assert!(report.is_clean());
-        Ok(count.0)
-    })?;
+    let faulted_decoded = timed_decode("store-faulted", recovered, |obs| reader.replay(obs))?;
     if faulted_decoded < faulted_committed {
         return Err(analysis_error(
             "ingest/store-faulted",
@@ -267,7 +229,6 @@ pub fn compute() -> Result<IngestData, SpmError> {
         compressed_bytes: lz_packed.file_bytes,
         blocks: packed.blocks,
         decoded: [
-            store_decoded,
             batch_decoded,
             par_decoded,
             compressed_decoded,
@@ -388,6 +349,30 @@ mod tests {
         assert!(d.store_bytes > 0);
         let overhead = d.store_bytes as f64 / d.payload_bytes as f64;
         assert!(overhead < 1.2, "container overhead {overhead:.3} too high");
+    }
+
+    #[test]
+    fn a_skipped_block_fails_the_figure() {
+        let clean = StoreReplayReport {
+            events: 10,
+            blocks: 2,
+            skipped: Vec::new(),
+        };
+        assert!(require_clean("ingest/store-batch", &clean).is_ok());
+        let skipped = StoreReplayReport {
+            skipped: vec![spm_store::SkippedBlock {
+                block: 1,
+                events: 7,
+                error: spm_sim::record::DecodeError::Truncated { offset: 3 },
+            }],
+            ..clean
+        };
+        let err = require_clean("ingest/store-batch", &skipped).unwrap_err();
+        assert!(matches!(&err, SpmError::Analysis { stage, .. } if stage == "ingest/store-batch"));
+        assert!(
+            err.to_string().contains("skipped 1 block(s), 7 event(s)"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -106,21 +106,12 @@ pub fn cmd_serve(parsed: &ParsedArgs) -> Result<(), CliError> {
 /// Collects the full event stream of one send unit: a workload run
 /// (default input `train`, matching `spm select`) or an `.spmstk`
 /// store replay.
-#[derive(Default)]
-struct Tape(Vec<(u64, TraceEvent)>);
-
-impl TraceObserver for Tape {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.0.push((icount, *event));
-    }
-}
-
 fn unit_events(
     parsed: &ParsedArgs,
     name: &str,
     err: &mut String,
 ) -> Result<Vec<(u64, TraceEvent)>, CliError> {
-    let mut tape = Tape::default();
+    let mut tape: Vec<(u64, TraceEvent)> = Vec::new();
     if is_store_file(name) {
         let mut reader = open_store(name, err)?;
         let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut tape];
@@ -130,7 +121,7 @@ fn unit_events(
         let input = input_of(&w, parsed, "train")?;
         run(&w.program, &input, &mut [&mut tape]).map_err(SpmError::Run)?;
     }
-    Ok(tape.0)
+    Ok(tape)
 }
 
 /// The default session name of a send unit: the workload name's file

@@ -69,7 +69,7 @@ pub struct SelectionDelta {
 /// ```
 /// use spm_core::{IncrementalSelector, SelectConfig};
 /// use spm_ir::{Input, ProgramBuilder, Trip};
-/// use spm_sim::{run, TraceEvent, TraceObserver};
+/// use spm_sim::{run, TraceEvent};
 ///
 /// let mut b = ProgramBuilder::new("toy");
 /// b.proc("main", |p| {
@@ -85,20 +85,13 @@ pub struct SelectionDelta {
 /// let program = b.build("main").unwrap();
 ///
 /// // Collect the trace, then feed it in two halves.
-/// #[derive(Default)]
-/// struct Tape(Vec<(u64, TraceEvent)>);
-/// impl TraceObserver for Tape {
-///     fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-///         self.0.push((icount, *event));
-///     }
-/// }
-/// let mut tape = Tape::default();
+/// let mut tape: Vec<(u64, TraceEvent)> = Vec::new();
 /// run(&program, &Input::new("ref", 1), &mut [&mut tape]).unwrap();
 ///
 /// let mut sel = IncrementalSelector::new(SelectConfig::new(5_000), 2);
-/// let mid = tape.0.len() / 2;
-/// let first = sel.update(&tape.0[..mid]);
-/// let last = sel.update(&tape.0[mid..]);
+/// let mid = tape.len() / 2;
+/// let first = sel.update(&tape[..mid]);
+/// let last = sel.update(&tape[mid..]);
 /// assert_eq!(last.update, 2);
 /// assert!(!sel.markers().is_empty());
 /// # let _ = first;
@@ -277,14 +270,6 @@ mod tests {
     use spm_ir::{Input, ProgramBuilder, Trip};
     use spm_sim::{run, TraceObserver};
 
-    #[derive(Default)]
-    struct Tape(Vec<(u64, TraceEvent)>);
-    impl TraceObserver for Tape {
-        fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-            self.0.push((icount, *event));
-        }
-    }
-
     fn phased_trace() -> Vec<(u64, TraceEvent)> {
         let mut b = ProgramBuilder::new("t");
         b.proc("main", |p| {
@@ -298,9 +283,9 @@ mod tests {
             });
         });
         let program = b.build("main").unwrap();
-        let mut tape = Tape::default();
+        let mut tape = Vec::new();
         run(&program, &Input::new("ref", 7), &mut [&mut tape]).unwrap();
-        tape.0
+        tape
     }
 
     #[test]

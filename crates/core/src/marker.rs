@@ -198,11 +198,10 @@ impl<'m> MarkerRuntime<'m> {
             self.firings.push(MarkerFiring { icount, marker: id });
         }
     }
+}
 
-    /// Processes one event; shared by the per-event and batch observer
-    /// entry points so the batch loop runs with static dispatch.
-    #[inline]
-    fn step(&mut self, icount: u64, event: &TraceEvent) {
+impl TraceObserver for MarkerRuntime<'_> {
+    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
         match *event {
             TraceEvent::Call { proc } => {
                 let ctx = self.context();
@@ -249,18 +248,6 @@ impl<'m> MarkerRuntime<'m> {
                 self.stack.pop();
             }
             _ => {}
-        }
-    }
-}
-
-impl TraceObserver for MarkerRuntime<'_> {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.step(icount, event);
-    }
-
-    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
-        for (icount, event) in batch {
-            self.step(*icount, event);
         }
     }
 }

@@ -224,11 +224,10 @@ impl CallLoopProfiler {
             self.fault = Some(error);
         }
     }
+}
 
-    /// Processes one event; shared by the per-event and batch observer
-    /// entry points so the batch loop runs with static dispatch.
-    #[inline]
-    fn step(&mut self, icount: u64, event: &TraceEvent) {
+impl TraceObserver for CallLoopProfiler {
+    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
         self.events += 1;
         match *event {
             TraceEvent::Call { proc } => {
@@ -270,18 +269,6 @@ impl CallLoopProfiler {
                 self.pop(FrameKind::LoopHead, icount);
             }
             _ => {}
-        }
-    }
-}
-
-impl TraceObserver for CallLoopProfiler {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.step(icount, event);
-    }
-
-    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
-        for (icount, event) in batch {
-            self.step(*icount, event);
         }
     }
 }

@@ -12,15 +12,6 @@ use spm_core::{select_markers, CallLoopProfiler, IncrementalSelector, SelectConf
 use spm_ir::{Input, Program, ProgramBuilder, Trip};
 use spm_sim::{run, TraceEvent, TraceObserver};
 
-#[derive(Default)]
-struct Collect(Vec<(u64, TraceEvent)>);
-
-impl TraceObserver for Collect {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.0.push((icount, *event));
-    }
-}
-
 /// Calls, nested loops, branchy control flow — enough structure for a
 /// nonempty candidate set at small `ilower`.
 fn program() -> Program {
@@ -47,9 +38,9 @@ fn program() -> Program {
 }
 
 fn trace(seed: u64) -> Vec<(u64, TraceEvent)> {
-    let mut tape = Collect::default();
+    let mut tape = Vec::new();
     run(&program(), &Input::new("t", seed), &mut [&mut tape]).expect("sim run");
-    tape.0
+    tape
 }
 
 /// Batch reference: strict profiler over the whole trace, one

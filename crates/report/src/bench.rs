@@ -4,8 +4,8 @@
 //! The report carries the current measurement — for each figure of the
 //! suite the repeat count and the median/min/total wall-clock across
 //! repeats, the suite-wide simulation throughput, and the per-decoder
-//! ingest throughput of the `spmstk01` store figure (flat vs store vs
-//! parallel vs crash-recovered decode) — plus (since v5) the
+//! ingest throughput of the `spmstk01` store figure (batched vs
+//! parallel vs compressed vs crash-recovered decode) — plus (since v5) the
 //! `trajectory`: the per-decoder ingest medians of *previous* committed
 //! reports, carried forward and appended to by `all_figures` on each
 //! regeneration, so ingest-throughput history accumulates in-repo

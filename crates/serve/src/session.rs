@@ -429,6 +429,11 @@ struct Replayed {
 /// Replays one journal generation into the selector, one update per
 /// stored block (matching the updates the original session ran). A
 /// file with no committed blocks contributes nothing.
+///
+/// `PerBlock` is the one observer whose result depends on batch
+/// boundaries: each `on_batch` is one `IncrementalSelector::update`.
+/// It reproduces the original session's updates only because
+/// [`StoreReader::replay`] delivers exactly one batch per clean block.
 fn replay_generation(
     path: &Path,
     selector: &mut IncrementalSelector,
@@ -510,17 +515,9 @@ mod tests {
             });
         });
         let program = b.build("main").unwrap();
-
-        #[derive(Default)]
-        struct Tape(Vec<(u64, TraceEvent)>);
-        impl TraceObserver for Tape {
-            fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-                self.0.push((icount, *event));
-            }
-        }
-        let mut tape = Tape::default();
+        let mut tape = Vec::new();
         run(&program, &Input::new("t", 3), &mut [&mut tape]).unwrap();
-        tape.0
+        tape
     }
 
     fn feed(core: &mut SessionCore, events: &[(u64, TraceEvent)], budget: usize) {

@@ -16,15 +16,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
-#[derive(Default)]
-struct Tape(Vec<(u64, TraceEvent)>);
-
-impl TraceObserver for Tape {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.0.push((icount, *event));
-    }
-}
-
 /// A phased trace with enough structure for a non-trivial marker set.
 fn trace(scale: u64) -> Vec<(u64, TraceEvent)> {
     let mut b = ProgramBuilder::new("serve-test");
@@ -45,9 +36,9 @@ fn trace(scale: u64) -> Vec<(u64, TraceEvent)> {
         });
     });
     let program = b.build("main").unwrap();
-    let mut tape = Tape::default();
+    let mut tape = Vec::new();
     run(&program, &Input::new("t", 3), &mut [&mut tape]).unwrap();
-    tape.0
+    tape
 }
 
 fn batch_markers(events: &[(u64, TraceEvent)], config: SelectConfig) -> String {

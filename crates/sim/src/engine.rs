@@ -4,7 +4,7 @@
 use crate::events::{TraceEvent, TraceObserver};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spm_ir::{AccessPattern, Block, Cond, Input, Procedure, Program, Stmt, Trip};
+use spm_ir::{AccessPattern, Block, Cond, Input, Program, Stmt, Trip};
 use std::fmt;
 
 /// Maximum procedure-call nesting depth. Calls beyond this depth are
@@ -15,6 +15,10 @@ pub const MAX_CALL_DEPTH: usize = 200;
 /// Region base addresses are spaced this far apart; a region larger than
 /// this is rejected.
 const REGION_SPACING: u64 = 1 << 28;
+
+/// Events the engine buffers before handing them to every observer in
+/// one [`TraceObserver::on_batch`] call (32 KiB of events).
+const BATCH: usize = 1024;
 
 /// Aggregate counts for one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,6 +64,10 @@ impl std::error::Error for RunError {}
 /// Executes `program` under `input`, streaming every [`TraceEvent`] to
 /// all `observers` in order, and returns aggregate counts.
 ///
+/// Events reach each observer through [`TraceObserver::on_batch`], in
+/// non-empty batches of at most a fixed size; each observer sees the
+/// whole stream, ending with [`TraceEvent::Finish`].
+///
 /// Execution is fully deterministic: the same program and input (same
 /// seed) produce the identical event stream on every run — the property
 /// the two-pass analyses (profile, then re-run with markers) rely on.
@@ -99,9 +107,10 @@ pub fn run(
     observers: &mut [&mut dyn TraceObserver],
 ) -> Result<RunSummary, RunError> {
     let mut span = spm_obs::span("sim/run");
-    let mut engine = Engine::new(program, input)?;
-    engine.exec_proc(program.proc(program.entry()), observers, 0);
-    engine.emit(observers, TraceEvent::Finish);
+    let mut engine = Engine::new(program, input, observers)?;
+    engine.exec_stmts(&program.proc(program.entry()).body, 0);
+    engine.emit(TraceEvent::Finish);
+    engine.flush();
     if span.is_live() {
         span.field("program", program.name());
         span.field("instrs", engine.summary.instrs);
@@ -114,9 +123,12 @@ pub fn run(
     Ok(engine.summary)
 }
 
-struct Engine<'p> {
+struct Engine<'p, 'o, 'b> {
     program: &'p Program,
     input: &'p Input,
+    observers: &'o mut [&'b mut dyn TraceObserver],
+    /// Events not yet delivered (at most [`BATCH`]).
+    batch: Vec<(u64, TraceEvent)>,
     rng: SmallRng,
     icount: u64,
     region_base: Vec<u64>,
@@ -133,8 +145,12 @@ struct Engine<'p> {
     summary: RunSummary,
 }
 
-impl<'p> Engine<'p> {
-    fn new(program: &'p Program, input: &'p Input) -> Result<Self, RunError> {
+impl<'p, 'o, 'b> Engine<'p, 'o, 'b> {
+    fn new(
+        program: &'p Program,
+        input: &'p Input,
+        observers: &'o mut [&'b mut dyn TraceObserver],
+    ) -> Result<Self, RunError> {
         let mut region_base = Vec::with_capacity(program.regions().len());
         let mut region_size = Vec::with_capacity(program.regions().len());
         for (i, region) in program.regions().iter().enumerate() {
@@ -177,6 +193,8 @@ impl<'p> Engine<'p> {
         Ok(Self {
             program,
             input,
+            observers,
+            batch: Vec::with_capacity(BATCH),
             rng: SmallRng::seed_from_u64(input.seed() ^ 0x5eed_cafe_f00d_u64),
             icount: 0,
             region_base,
@@ -189,40 +207,39 @@ impl<'p> Engine<'p> {
         })
     }
 
-    fn emit(&mut self, observers: &mut [&mut dyn TraceObserver], event: TraceEvent) {
+    fn emit(&mut self, event: TraceEvent) {
         self.events += 1;
-        for obs in observers.iter_mut() {
-            obs.on_event(self.icount, &event);
+        self.batch.push((self.icount, event));
+        if self.batch.len() == BATCH {
+            self.flush();
         }
     }
 
-    fn exec_proc(
-        &mut self,
-        proc: &'p Procedure,
-        observers: &mut [&mut dyn TraceObserver],
-        depth: usize,
-    ) {
-        self.exec_stmts(&proc.body, observers, depth);
+    /// Delivers the buffered events to every observer (if any are
+    /// buffered).
+    fn flush(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        for obs in self.observers.iter_mut() {
+            obs.on_batch(&self.batch);
+        }
+        self.batch.clear();
     }
 
-    fn exec_stmts(
-        &mut self,
-        stmts: &'p [Stmt],
-        observers: &mut [&mut dyn TraceObserver],
-        depth: usize,
-    ) {
+    fn exec_stmts(&mut self, stmts: &'p [Stmt], depth: usize) {
         for stmt in stmts {
             match stmt {
-                Stmt::Block(block) => self.exec_block(block, observers),
+                Stmt::Block(block) => self.exec_block(block),
                 Stmt::Loop(l) => {
                     let trip = self.draw_trip(&l.trip);
-                    self.emit(observers, TraceEvent::LoopEnter { loop_id: l.id });
+                    self.emit(TraceEvent::LoopEnter { loop_id: l.id });
                     for _ in 0..trip {
                         self.summary.loop_iters += 1;
-                        self.emit(observers, TraceEvent::LoopIter { loop_id: l.id });
-                        self.exec_stmts(&l.body, observers, depth);
+                        self.emit(TraceEvent::LoopIter { loop_id: l.id });
+                        self.exec_stmts(&l.body, depth);
                     }
-                    self.emit(observers, TraceEvent::LoopExit { loop_id: l.id });
+                    self.emit(TraceEvent::LoopExit { loop_id: l.id });
                 }
                 Stmt::Call(call) => {
                     if depth >= MAX_CALL_DEPTH {
@@ -230,51 +247,42 @@ impl<'p> Engine<'p> {
                         continue;
                     }
                     self.summary.calls += 1;
-                    self.emit(observers, TraceEvent::Call { proc: call.target });
+                    self.emit(TraceEvent::Call { proc: call.target });
                     let callee = self.program.proc(call.target);
-                    self.exec_proc(callee, observers, depth + 1);
-                    self.emit(observers, TraceEvent::Return { proc: call.target });
+                    self.exec_stmts(&callee.body, depth + 1);
+                    self.emit(TraceEvent::Return { proc: call.target });
                 }
                 Stmt::If(i) => {
                     let taken = self.eval_cond(&i.cond, i.id.index());
-                    self.emit(
-                        observers,
-                        TraceEvent::Branch {
-                            branch: i.id,
-                            taken,
-                        },
-                    );
+                    self.emit(TraceEvent::Branch {
+                        branch: i.id,
+                        taken,
+                    });
                     let body = if taken { &i.then_body } else { &i.else_body };
-                    self.exec_stmts(body, observers, depth);
+                    self.exec_stmts(body, depth);
                 }
             }
         }
     }
 
-    fn exec_block(&mut self, block: &Block, observers: &mut [&mut dyn TraceObserver]) {
+    fn exec_block(&mut self, block: &Block) {
         self.icount += block.instrs as u64;
         self.summary.instrs += block.instrs as u64;
         self.summary.blocks += 1;
-        self.emit(
-            observers,
-            TraceEvent::BlockExec {
-                block: block.id,
-                instrs: block.instrs,
-                base_cpi: block.base_cpi,
-            },
-        );
+        self.emit(TraceEvent::BlockExec {
+            block: block.id,
+            instrs: block.instrs,
+            base_cpi: block.base_cpi,
+        });
         for (j, mem) in block.mem.iter().enumerate() {
             let cursor_idx = self.cursor_base[block.id.index()] as usize + j;
             for _ in 0..mem.count {
                 let addr = self.next_addr(mem.region.index(), mem.pattern, cursor_idx);
                 self.summary.mem_accesses += 1;
-                self.emit(
-                    observers,
-                    TraceEvent::MemAccess {
-                        addr,
-                        write: mem.write,
-                    },
-                );
+                self.emit(TraceEvent::MemAccess {
+                    addr,
+                    write: mem.write,
+                });
             }
         }
     }
@@ -360,18 +368,6 @@ mod tests {
     use super::*;
     use spm_ir::ProgramBuilder;
 
-    /// Records the full event stream for assertions.
-    #[derive(Default)]
-    struct Recorder {
-        events: Vec<(u64, TraceEvent)>,
-    }
-
-    impl TraceObserver for Recorder {
-        fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-            self.events.push((icount, *event));
-        }
-    }
-
     fn simple_program() -> Program {
         let mut b = ProgramBuilder::new("t");
         let r = b.region_bytes("d", 1 << 12);
@@ -391,7 +387,7 @@ mod tests {
     #[test]
     fn event_stream_structure() {
         let program = simple_program();
-        let mut rec = Recorder::default();
+        let mut rec: Vec<(u64, TraceEvent)> = Vec::new();
         let summary = run(&program, &Input::new("x", 3), &mut [&mut rec]).unwrap();
         assert_eq!(summary.instrs, 10 + 2 * (20 + 5));
         assert_eq!(summary.blocks, 1 + 2 * 2);
@@ -400,7 +396,6 @@ mod tests {
         assert_eq!(summary.loop_iters, 2);
 
         let kinds: Vec<&'static str> = rec
-            .events
             .iter()
             .map(|(_, e)| match e {
                 TraceEvent::BlockExec { .. } => "block",
@@ -426,25 +421,70 @@ mod tests {
     #[test]
     fn icount_is_monotone_and_final() {
         let program = simple_program();
-        let mut rec = Recorder::default();
+        let mut rec: Vec<(u64, TraceEvent)> = Vec::new();
         let summary = run(&program, &Input::new("x", 3), &mut [&mut rec]).unwrap();
         let mut prev = 0;
-        for (icount, _) in &rec.events {
+        for (icount, _) in &rec {
             assert!(*icount >= prev);
             prev = *icount;
         }
-        assert_eq!(rec.events.last().unwrap().0, summary.instrs);
+        assert_eq!(rec.last().unwrap().0, summary.instrs);
     }
 
     #[test]
     fn execution_is_deterministic() {
         let program = simple_program();
         let input = Input::new("x", 99);
-        let mut a = Recorder::default();
-        let mut b = Recorder::default();
+        let mut a: Vec<(u64, TraceEvent)> = Vec::new();
+        let mut b: Vec<(u64, TraceEvent)> = Vec::new();
         run(&program, &input, &mut [&mut a]).unwrap();
         run(&program, &input, &mut [&mut b]).unwrap();
-        assert_eq!(a.events, b.events);
+        assert_eq!(a, b);
+    }
+
+    /// Records the size of every batch the engine delivers.
+    #[derive(Default)]
+    struct BatchSizes(Vec<usize>);
+
+    impl TraceObserver for BatchSizes {
+        fn on_event(&mut self, _: u64, _: &TraceEvent) {
+            unreachable!("the engine delivers batches only");
+        }
+
+        fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+            self.0.push(batch.len());
+        }
+    }
+
+    #[test]
+    fn batching_is_invisible_to_observers() {
+        // A block, then `iters` iterations of one block: 2 * iters + 4
+        // events. The second size is an exact multiple of `BATCH`.
+        for iters in [3 * BATCH as u64 + 7, BATCH as u64 - 2] {
+            let mut b = ProgramBuilder::new("t");
+            b.proc("main", |p| {
+                p.block(1).done();
+                p.loop_(Trip::Fixed(iters), |body| {
+                    body.block(1).done();
+                });
+            });
+            let program = b.build("main").unwrap();
+            let input = Input::new("x", 1);
+            let mut per_event = Vec::new();
+            let mut tape: Vec<(u64, TraceEvent)> = Vec::new();
+            let mut sizes = BatchSizes::default();
+            let summary = {
+                let mut closure = |icount: u64, ev: &TraceEvent| per_event.push((icount, *ev));
+                run(&program, &input, &mut [&mut closure, &mut tape, &mut sizes]).unwrap()
+            };
+            let events = 2 * iters as usize + 4;
+            assert_eq!(per_event.len(), events);
+            assert_eq!(per_event, tape);
+            assert!(sizes.0.iter().all(|&n| (1..=BATCH).contains(&n)));
+            assert_eq!(sizes.0.len(), events.div_ceil(BATCH));
+            assert_eq!(tape.last().unwrap().1, TraceEvent::Finish);
+            assert_eq!(run(&program, &input, &mut []).unwrap(), summary);
+        }
     }
 
     #[test]

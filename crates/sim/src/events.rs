@@ -69,21 +69,28 @@ pub enum TraceEvent {
 ///
 /// Implementations are the reproduction's equivalent of ATOM analysis
 /// routines; several observers are driven from a single pass.
+///
+/// Every producer — the engine ([`run`](crate::run)), store replay and
+/// the streaming service — delivers the stream through [`on_batch`],
+/// as runs of consecutive events in order. Batch boundaries carry no
+/// meaning, so an observer implements [`on_event`]
+/// and inherits the default [`on_batch`], which forwards each event in
+/// order. The default is compiled separately for every observer type,
+/// so its call to `on_event` is a direct call, not a virtual one.
+///
+/// [`on_event`]: TraceObserver::on_event
+/// [`on_batch`]: TraceObserver::on_batch
 pub trait TraceObserver {
-    /// Called for every event, with `icount` = total instructions
-    /// executed up to and including this event.
+    /// Consumes one event, with `icount` = total instructions executed
+    /// up to and including this event.
     fn on_event(&mut self, icount: u64, event: &TraceEvent);
 
-    /// Delivers a run of consecutive events in one call.
+    /// Consumes a run of consecutive events.
     ///
-    /// Batch delivery is an optimization, not a semantic change: the
-    /// default implementation forwards to [`on_event`] in order, so
-    /// `on_batch(batch)` must leave the observer in exactly the state
-    /// that delivering each event individually would. Hot-path decoders
-    /// (the `spm-store` block replay) call this once per decoded block;
-    /// even without an override it collapses per-event virtual dispatch
-    /// into one virtual call per batch, and observers with a hot inner
-    /// loop override it to iterate with static dispatch.
+    /// Override this only when a whole batch can be handled more
+    /// cheaply than event by event (counting, copying); an override
+    /// must leave the observer in exactly the state that calling
+    /// [`on_event`] for each event in order would.
     ///
     /// [`on_event`]: TraceObserver::on_event
     fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
@@ -98,6 +105,17 @@ pub trait TraceObserver {
 impl<F: FnMut(u64, &TraceEvent)> TraceObserver for F {
     fn on_event(&mut self, icount: u64, event: &TraceEvent) {
         self(icount, event)
+    }
+}
+
+/// A vector observer is an event tape: it records the stream verbatim.
+impl TraceObserver for Vec<(u64, TraceEvent)> {
+    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+        self.push((icount, *event));
+    }
+
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        self.extend_from_slice(batch);
     }
 }
 

@@ -397,19 +397,8 @@ pub fn decode_event(bytes: &[u8], pos: &mut usize) -> Result<(u64, TraceEvent), 
 mod tests {
     use super::*;
     use crate::engine::run;
-    use crate::events::TraceObserver;
     use proptest::prelude::*;
     use spm_ir::{Input, ProgramBuilder, Trip};
-
-    /// Collects raw events for equality comparison.
-    #[derive(Default, PartialEq, Debug)]
-    struct Collector(Vec<(u64, TraceEvent)>);
-
-    impl TraceObserver for Collector {
-        fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-            self.0.push((icount, *event));
-        }
-    }
 
     fn sample_program() -> spm_ir::Program {
         let mut b = ProgramBuilder::new("t");
@@ -425,8 +414,8 @@ mod tests {
     }
 
     /// The live event stream of the sample program under `seed`.
-    fn live_events(seed: u64) -> Collector {
-        let mut live = Collector::default();
+    fn live_events(seed: u64) -> Vec<(u64, TraceEvent)> {
+        let mut live = Vec::new();
         run(&sample_program(), &Input::new("x", seed), &mut [&mut live]).unwrap();
         live
     }
@@ -441,13 +430,13 @@ mod tests {
         bytes
     }
 
-    fn decode_all(bytes: &[u8]) -> Result<Collector, DecodeError> {
-        let mut out = Collector::default();
+    fn decode_all(bytes: &[u8]) -> Result<Vec<(u64, TraceEvent)>, DecodeError> {
+        let mut out = Vec::new();
         let (mut pos, mut icount) = (0, 0u64);
         while pos < bytes.len() {
             let (delta, event) = decode_event(bytes, &mut pos)?;
             icount += delta;
-            out.0.push((icount, event));
+            out.push((icount, event));
         }
         Ok(out)
     }
@@ -455,13 +444,13 @@ mod tests {
     #[test]
     fn decode_reproduces_live_events_exactly() {
         let live = live_events(77);
-        assert_eq!(decode_all(&encode_all(&live.0)), Ok(live));
+        assert_eq!(decode_all(&encode_all(&live)), Ok(live));
     }
 
     #[test]
     fn encoding_is_compact() {
         let live = live_events(1);
-        let per_event = encode_all(&live.0).len() as f64 / live.0.len() as f64;
+        let per_event = encode_all(&live).len() as f64 / live.len() as f64;
         assert!(per_event < 8.0, "{per_event} bytes/event is too fat");
     }
 
@@ -568,12 +557,12 @@ mod tests {
         #[test]
         fn encoded_streams_decode_for_random_seeds(seed in 0u64..500) {
             let live = live_events(seed);
-            prop_assert_eq!(decode_all(&encode_all(&live.0)), Ok(live));
+            prop_assert_eq!(decode_all(&encode_all(&live)), Ok(live));
         }
 
         #[test]
         fn truncating_anywhere_never_panics(seed in 0u64..30, cut_frac in 0.0f64..1.0) {
-            let bytes = encode_all(&live_events(seed).0);
+            let bytes = encode_all(&live_events(seed));
             let cut = (bytes.len() as f64 * cut_frac) as usize;
             // A typed error or a clean (shorter) decode, never a panic.
             let _ = decode_all(&bytes[..cut]);

@@ -504,7 +504,10 @@ impl<R: Read + Seek> StoreReader<R> {
 
     /// Replays every event to the observers in order, one block at a
     /// time (peak trace memory: one block payload plus its decoded
-    /// events). Undecodable blocks are skipped with a structured
+    /// events). Each cleanly decoded block reaches every observer as
+    /// exactly one [`TraceObserver::on_batch`] call; serve's journal
+    /// replay relies on this to rerun one selector update per block.
+    /// Undecodable blocks are skipped with a structured
     /// `store/skipped-block` warning; delivery resumes at the next
     /// block, whose metadata restores the sequence and instruction
     /// watermarks.
@@ -569,16 +572,9 @@ impl<R: Read + Seek> StoreReader<R> {
             for block in first_block..self.index.len() {
                 let meta = self.index[block];
                 let decoded = mapped_block(data, meta)
-                    .and_then(|payload| decode_block_into(payload, meta, compression, &mut arena));
-                deliver_decoded(
-                    &mut report,
-                    block as u64,
-                    meta,
-                    &arena,
-                    min_seq,
-                    observers,
-                    decoded,
-                );
+                    .and_then(|payload| decode_block_into(payload, meta, compression, &mut arena))
+                    .map(|()| after_seq(&arena, meta, min_seq));
+                deliver(&mut report, block as u64, meta, decoded, observers);
             }
         } else {
             let mut scratch: Vec<u8> = Vec::new();
@@ -586,16 +582,9 @@ impl<R: Read + Seek> StoreReader<R> {
                 let meta = self.index[block];
                 let decoded = self
                     .read_block_into(block, &mut scratch)
-                    .and_then(|()| decode_block_into(&scratch, meta, compression, &mut arena));
-                deliver_decoded(
-                    &mut report,
-                    block as u64,
-                    meta,
-                    &arena,
-                    min_seq,
-                    observers,
-                    decoded,
-                );
+                    .and_then(|()| decode_block_into(&scratch, meta, compression, &mut arena))
+                    .map(|()| after_seq(&arena, meta, min_seq));
+                deliver(&mut report, block as u64, meta, decoded, observers);
             }
         }
         finish_replay_span(&mut span, &report);
@@ -604,8 +593,9 @@ impl<R: Read + Seek> StoreReader<R> {
 
     /// Like [`replay`](Self::replay), but fans block decoding out over
     /// the `spm-par` worker pool in bounded batches while delivering
-    /// events to the observers strictly in order. Peak trace memory is
-    /// O(batch × block size); output is byte-identical to the
+    /// events to the observers strictly in order, one `on_batch` call
+    /// per clean block as in [`replay`](Self::replay). Peak trace memory
+    /// is O(batch × block size); output is byte-identical to the
     /// sequential path at any worker count.
     ///
     /// When fanning out cannot pay for itself — a single-core host, or
@@ -646,7 +636,8 @@ impl<R: Read + Seek> StoreReader<R> {
                         .and_then(|payload| decode_block(payload, *meta, compression))
                 });
                 for ((b, meta), events) in (block..upper).zip(metas).zip(decoded) {
-                    deliver_par(&mut report, b as u64, *meta, observers, events);
+                    let events = events.as_deref().map_err(|e| *e);
+                    deliver(&mut report, b as u64, *meta, events, observers);
                 }
                 block = upper;
             }
@@ -667,7 +658,8 @@ impl<R: Read + Seek> StoreReader<R> {
                 });
                 // In-order delivery.
                 for ((b, meta, _), events) in payloads.iter().zip(decoded) {
-                    deliver_par(&mut report, *b, *meta, observers, events);
+                    let events = events.as_deref().map_err(|e| *e);
+                    deliver(&mut report, *b, *meta, events, observers);
                 }
                 block = upper;
             }
@@ -766,48 +758,29 @@ fn decode_block(
     Ok(events)
 }
 
-/// Delivers one decoded block as a batch (skipping events with
-/// sequence number below `min_seq`), or records the skip if decoding
-/// failed.
-fn deliver_decoded(
+/// The events of a decoded block with sequence number `>= min_seq`.
+fn after_seq(events: &[(u64, TraceEvent)], meta: BlockMeta, min_seq: u64) -> &[(u64, TraceEvent)] {
+    let skip = min_seq
+        .saturating_sub(meta.first_seq)
+        .min(events.len() as u64) as usize;
+    &events[skip..]
+}
+
+/// Delivers one decoded block to every observer as a single batch, or
+/// records the skip if decoding failed.
+fn deliver(
     report: &mut StoreReplayReport,
     block: u64,
     meta: BlockMeta,
-    arena: &[(u64, TraceEvent)],
-    min_seq: u64,
+    decoded: Result<&[(u64, TraceEvent)], DecodeError>,
     observers: &mut [&mut dyn TraceObserver],
-    decoded: Result<(), DecodeError>,
 ) {
     match decoded {
-        Ok(()) => {
-            let skip = min_seq
-                .saturating_sub(meta.first_seq)
-                .min(arena.len() as u64) as usize;
-            let batch = &arena[skip..];
+        Ok(batch) => {
             for obs in observers.iter_mut() {
                 obs.on_batch(batch);
             }
             report.events += batch.len() as u64;
-            report.blocks += 1;
-        }
-        Err(error) => skip_block(report, block, meta, error),
-    }
-}
-
-/// In-order delivery for the parallel path: one batch per block.
-fn deliver_par(
-    report: &mut StoreReplayReport,
-    block: u64,
-    meta: BlockMeta,
-    observers: &mut [&mut dyn TraceObserver],
-    events: Result<Vec<(u64, TraceEvent)>, DecodeError>,
-) {
-    match events {
-        Ok(events) => {
-            for obs in observers.iter_mut() {
-                obs.on_batch(&events);
-            }
-            report.events += events.len() as u64;
             report.blocks += 1;
         }
         Err(error) => skip_block(report, block, meta, error),

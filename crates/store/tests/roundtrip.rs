@@ -8,19 +8,8 @@ use spm_store::format::{FOOTER_LEN, FRAME_LEN};
 use spm_store::{Compression, StoreReader, StoreWriter};
 use std::io::Cursor;
 
-/// Records every delivered event, for byte-for-byte comparisons.
-#[derive(Default)]
-struct Collect(Vec<(u64, TraceEvent)>);
-
-impl TraceObserver for Collect {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.0.push((icount, *event));
-    }
-}
-
-/// Like [`Collect`], but takes the batched delivery path, recording
-/// batch boundaries — proving batch and per-event delivery carry the
-/// same stream.
+/// Records the stream and its batch boundaries, proving batch and
+/// per-event delivery carry the same stream.
 #[derive(Default)]
 struct BatchCollect {
     events: Vec<(u64, TraceEvent)>,
@@ -68,13 +57,13 @@ fn program() -> Program {
 /// and collecting the flat event list on the side.
 fn pack(budget: usize, seed: u64) -> (Vec<u8>, Vec<(u64, TraceEvent)>) {
     let prog = program();
-    let mut flat = Collect::default();
+    let mut flat = Vec::new();
     let mut bytes = Vec::new();
     let mut writer = StoreWriter::with_block_budget(&mut bytes, budget);
     run(&prog, &Input::new("t", seed), &mut [&mut flat, &mut writer]).expect("sim run");
     let summary = writer.finish().expect("finish");
-    assert_eq!(summary.events, flat.0.len() as u64);
-    (bytes, flat.0)
+    assert_eq!(summary.events, flat.len() as u64);
+    (bytes, flat)
 }
 
 fn open(bytes: Vec<u8>) -> StoreReader<Cursor<Vec<u8>>> {
@@ -87,23 +76,23 @@ fn replay_matches_direct_observation() {
     let mut reader = open(bytes);
     assert!(reader.info().blocks > 3, "budget must force many blocks");
     assert_eq!(reader.info().events, flat.len() as u64);
-    let mut got = Collect::default();
+    let mut got = Vec::new();
     let report = reader.replay(&mut [&mut got]).expect("replay");
     assert!(report.is_clean());
     assert_eq!(report.events, flat.len() as u64);
-    assert_eq!(got.0, flat);
+    assert_eq!(got, flat);
 }
 
 #[test]
 fn par_replay_matches_sequential_replay() {
     let (bytes, flat) = pack(256, 7);
-    let mut seq = Collect::default();
-    let mut par = Collect::default();
+    let mut seq = Vec::new();
+    let mut par = Vec::new();
     open(bytes.clone()).replay(&mut [&mut seq]).expect("replay");
     let report = open(bytes).par_replay(&mut [&mut par]).expect("par_replay");
     assert!(report.is_clean());
-    assert_eq!(par.0, seq.0);
-    assert_eq!(par.0, flat);
+    assert_eq!(par, seq);
+    assert_eq!(par, flat);
 }
 
 #[test]
@@ -135,10 +124,10 @@ fn truncated_footer_recovers_block_prefix() {
     let mut reader = StoreReader::new(Cursor::new(truncated)).expect("recovering open");
     assert!(reader.info().recovered_index);
     assert_eq!(reader.info().events, kept_events);
-    let mut got = Collect::default();
+    let mut got = Vec::new();
     let report = reader.replay(&mut [&mut got]).expect("replay");
     assert!(report.is_clean());
-    assert_eq!(got.0, flat[..kept_events as usize]);
+    assert_eq!(got, flat[..kept_events as usize]);
 }
 
 #[test]
@@ -202,7 +191,7 @@ proptest! {
         let byte = pick % meta.payload_len as usize;
         bytes[payload_at + byte] ^= 0x55;
 
-        let mut got = Collect::default();
+        let mut got = Vec::new();
         let report = open(bytes).replay(&mut [&mut got]).expect("replay");
         prop_assert_eq!(report.skipped.len(), 1);
         prop_assert_eq!(report.skipped[0].block, victim as u64);
@@ -219,7 +208,7 @@ proptest! {
             })
             .map(|(_, e)| *e)
             .collect();
-        prop_assert_eq!(got.0, expected);
+        prop_assert_eq!(got, expected);
     }
 
     /// Seeking to a sequence number delivers exactly the tail of a full
@@ -231,14 +220,14 @@ proptest! {
     ) {
         let (bytes, flat) = pack(512, seed);
         let seq = (pick % (flat.len() + 2)) as u64;
-        let mut got = Collect::default();
+        let mut got = Vec::new();
         let report = open(bytes)
             .replay_from_seq(seq, &mut [&mut got])
             .expect("seek replay");
         let tail = &flat[(seq as usize).min(flat.len())..];
         prop_assert!(report.is_clean());
         prop_assert_eq!(report.events, tail.len() as u64);
-        prop_assert_eq!(&got.0[..], tail);
+        prop_assert_eq!(&got[..], tail);
     }
 
     /// Truncating *inside* the footer or the index (including mid-way
@@ -270,10 +259,10 @@ proptest! {
             reader.info().recovered_tail_bytes,
             (cut_at - index_offset) as u64
         );
-        let mut got = Collect::default();
+        let mut got = Vec::new();
         let report = reader.replay(&mut [&mut got]).expect("replay");
         prop_assert!(report.is_clean());
-        prop_assert_eq!(got.0, flat);
+        prop_assert_eq!(got, flat);
     }
 
     /// A store with zero committed blocks truncated inside its footer
@@ -295,10 +284,10 @@ proptest! {
         prop_assert!(reader.info().recovered_index);
         prop_assert_eq!(reader.info().blocks, 0);
         prop_assert_eq!(reader.info().events, 0);
-        let mut got = Collect::default();
+        let mut got = Vec::new();
         let report = reader.replay(&mut [&mut got]).expect("replay");
         prop_assert!(report.is_clean());
-        prop_assert!(got.0.is_empty());
+        prop_assert!(got.is_empty());
     }
 
     /// Corruption and parallel decode compose: par_replay skips the
@@ -317,11 +306,11 @@ proptest! {
         let meta = index[victim];
         bytes[meta.offset as usize + FRAME_LEN + (pick % meta.payload_len as usize)] ^= 0xaa;
 
-        let mut seq = Collect::default();
-        let mut par = Collect::default();
+        let mut seq = Vec::new();
+        let mut par = Vec::new();
         let seq_report = open(bytes.clone()).replay(&mut [&mut seq]).expect("replay");
         let par_report = open(bytes).par_replay(&mut [&mut par]).expect("par_replay");
-        prop_assert_eq!(seq.0, par.0);
+        prop_assert_eq!(seq, par);
         prop_assert_eq!(seq_report.skipped.len(), par_report.skipped.len());
         prop_assert_eq!(seq_report.events, par_report.events);
     }
@@ -335,14 +324,14 @@ fn replay_from_icount_starts_at_covering_block() {
     let mut reader = open(bytes);
     let block = reader.block_for_icount(target).expect("in range");
     let first_seq = reader.index()[block].first_seq;
-    let mut got = Collect::default();
+    let mut got = Vec::new();
     let report = reader
         .replay_from_icount(target, &mut [&mut got])
         .expect("icount replay");
     assert!(report.is_clean());
-    assert_eq!(&got.0[..], &flat[first_seq as usize..]);
+    assert_eq!(&got[..], &flat[first_seq as usize..]);
     // The covering block's events reach past the target.
-    assert!(got.0.last().expect("events").0 >= target);
+    assert!(got.last().expect("events").0 >= target);
 }
 
 #[test]
@@ -374,13 +363,13 @@ fn not_a_store_is_a_typed_error() {
 /// Like [`pack`], but with per-block LZ compression enabled.
 fn pack_compressed(budget: usize, seed: u64) -> (Vec<u8>, Vec<(u64, TraceEvent)>) {
     let prog = program();
-    let mut flat = Collect::default();
+    let mut flat = Vec::new();
     let mut bytes = Vec::new();
     let mut writer =
         StoreWriter::with_block_budget(&mut bytes, budget).compression(Compression::Lz);
     run(&prog, &Input::new("t", seed), &mut [&mut flat, &mut writer]).expect("sim run");
     writer.finish().expect("finish");
-    (bytes, flat.0)
+    (bytes, flat)
 }
 
 #[test]
@@ -394,34 +383,40 @@ fn compressed_store_round_trips_and_shrinks() {
         reader.info().payload_bytes < open(plain).info().payload_bytes,
         "event streams are repetitive; LZ must shrink the payload"
     );
-    let mut got = Collect::default();
+    let mut got = Vec::new();
     let report = reader.replay(&mut [&mut got]).expect("replay");
     assert!(report.is_clean());
-    assert_eq!(got.0, flat);
+    assert_eq!(got, flat);
     // Parallel decode composes with compression.
-    let mut par = Collect::default();
+    let mut par = Vec::new();
     let report = open(packed).par_replay(&mut [&mut par]).expect("par");
     assert!(report.is_clean());
-    assert_eq!(par.0, flat);
+    assert_eq!(par, flat);
 }
 
 #[test]
 fn batch_delivery_is_identical_to_per_event_delivery() {
     for pack_fn in [pack, pack_compressed] {
         let (bytes, flat) = pack_fn(512, 23);
-        let mut per_event = Collect::default();
+        let mut per_event = Vec::new();
         let mut batched = BatchCollect::default();
-        open(bytes.clone())
+        let mut reader = open(bytes.clone());
+        let blocks = reader.info().blocks;
+        assert!(blocks > 3, "need several blocks");
+        reader
             .replay(&mut [&mut per_event, &mut batched])
             .expect("replay");
-        assert_eq!(per_event.0, flat);
+        assert_eq!(per_event, flat);
         assert_eq!(batched.events, flat);
-        assert!(batched.batches > 3, "one batch per block");
+        // Serve's journal replay runs one selector update per batch,
+        // so each clean block must arrive as exactly one batch.
+        assert_eq!(batched.batches as u64, blocks, "one batch per block");
         let mut batched_par = BatchCollect::default();
         open(bytes)
             .par_replay(&mut [&mut batched_par])
             .expect("par");
         assert_eq!(batched_par.events, flat);
+        assert_eq!(batched_par.batches as u64, blocks, "one batch per block");
     }
 }
 
@@ -444,7 +439,7 @@ fn corrupt_compressed_block_payload_is_skipped_not_fatal() {
     bytes[meta.offset as usize + 32..meta.offset as usize + 40]
         .copy_from_slice(&restamped.to_le_bytes());
 
-    let mut got = Collect::default();
+    let mut got = Vec::new();
     let report = open(bytes).replay(&mut [&mut got]).expect("replay");
     assert!(report.skipped.len() <= 1, "at most the damaged block");
     assert_eq!(
@@ -473,10 +468,10 @@ fn truncated_compressed_block_recovers_prefix() {
     let mut reader = StoreReader::new(Cursor::new(torn)).expect("recovering open");
     assert!(reader.info().recovered_index);
     assert_eq!(reader.info().blocks, 2);
-    let mut got = Collect::default();
+    let mut got = Vec::new();
     let report = reader.replay(&mut [&mut got]).expect("replay");
     assert!(report.is_clean());
-    assert_eq!(got.0, flat[..index[1].end_seq() as usize]);
+    assert_eq!(got, flat[..index[1].end_seq() as usize]);
 }
 
 #[test]
@@ -491,21 +486,21 @@ fn mapped_file_replay_matches_cursor_replay() {
         // `open` takes the mmap fast path where the platform allows;
         // results must match the Cursor (buffered) path exactly.
         let mut mapped = StoreReader::open(&path).expect("open mapped");
-        let mut got = Collect::default();
+        let mut got = Vec::new();
         let report = mapped.replay(&mut [&mut got]).expect("mapped replay");
         assert!(report.is_clean());
-        assert_eq!(got.0, flat);
-        let mut par = Collect::default();
+        assert_eq!(got, flat);
+        let mut par = Vec::new();
         let mut mapped = StoreReader::open(&path).expect("open mapped");
         mapped.par_replay(&mut [&mut par]).expect("mapped par");
-        assert_eq!(par.0, flat);
-        let mut seek = Collect::default();
+        assert_eq!(par, flat);
+        let mut seek = Vec::new();
         let mut mapped = StoreReader::open(&path).expect("open mapped");
         let mid = (flat.len() / 2) as u64;
         mapped
             .replay_from_seq(mid, &mut [&mut seek])
             .expect("mapped seek");
-        assert_eq!(&seek.0[..], &flat[mid as usize..]);
+        assert_eq!(&seek[..], &flat[mid as usize..]);
         let _ = std::fs::remove_file(&path);
     }
 }
@@ -546,8 +541,8 @@ fn empty_stream_round_trips() {
         spm_store::format::HEADER_LEN + FOOTER_LEN
     );
     let mut reader = open(bytes);
-    let mut got = Collect::default();
+    let mut got = Vec::new();
     let report = reader.replay(&mut [&mut got]).expect("replay empty");
     assert!(report.is_clean());
-    assert!(got.0.is_empty());
+    assert!(got.is_empty());
 }

@@ -19,7 +19,7 @@
 use spm::core::{
     partition_with_fallback, select_markers, CallLoopProfiler, FallbackReason, SelectConfig,
 };
-use spm::sim::{run, FaultKind, FaultObserver, TraceCorruptor, TraceEvent, TraceObserver};
+use spm::sim::{run, FaultKind, FaultObserver, TraceCorruptor, TraceEvent};
 use spm::workloads::suite;
 use spm_store::format::{BlockMeta, FRAME_LEN, HEADER_LEN};
 use spm_store::{StoreReader, StoreReplayReport, StoreWriter};
@@ -121,31 +121,24 @@ fn dropped_returns_are_reported_with_event_context() {
 /// block of many.
 const BLOCK_BUDGET: usize = 4096;
 
-/// Collects every delivered event, for stream comparisons.
-#[derive(Default)]
-struct Events(Vec<(u64, TraceEvent)>);
-
-impl TraceObserver for Events {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.0.push((icount, *event));
-    }
-}
+/// An event stream, as recorded by a `Vec` observer.
+type Events = Vec<(u64, TraceEvent)>;
 
 /// Records `w`'s train run into an in-memory store, returning the store
 /// bytes and the clean event stream.
-fn record_workload(w: &spm::workloads::Workload) -> (Vec<u8>, Vec<(u64, TraceEvent)>) {
-    let mut live = Events::default();
+fn record_workload(w: &spm::workloads::Workload) -> (Vec<u8>, Events) {
+    let mut live = Vec::new();
     let mut writer = StoreWriter::with_block_budget(Vec::new(), BLOCK_BUDGET);
     run(&w.program, &w.train_input, &mut [&mut live, &mut writer]).expect("engine runs");
     let outcome = writer.finish_with_sink();
     outcome.result.expect("in-memory store writes");
-    (outcome.sink, live.0)
+    (outcome.sink, live)
 }
 
 /// Opens `bytes` and replays every event, returning what was delivered.
 fn replay_store(bytes: &[u8]) -> (StoreReader<Cursor<&[u8]>>, StoreReplayReport, Events) {
     let mut reader = StoreReader::new(Cursor::new(bytes)).expect("header intact: store opens");
-    let mut sink = Events::default();
+    let mut sink = Vec::new();
     let report = reader.replay(&mut [&mut sink]).expect("in-memory replay");
     (reader, report, sink)
 }
@@ -204,8 +197,8 @@ fn corrupted_record_files_are_detected_across_the_suite() {
             );
             assert_eq!(report.events, reader.info().events);
             assert_eq!(
-                sink.0[..],
-                clean[..sink.0.len()],
+                sink[..],
+                clean[..sink.len()],
                 "{}: recovered prefix diverged from the clean stream",
                 w.name
             );
@@ -225,7 +218,7 @@ fn corrupted_record_files_are_detected_across_the_suite() {
                 assert!(!skip.error.to_string().is_empty());
             }
             assert_eq!(
-                sink.0,
+                sink,
                 without_blocks(&clean, &index, &report),
                 "{}: events of a damaged block leaked",
                 w.name
@@ -242,18 +235,18 @@ fn prefix_recovery_matches_the_uncorrupted_stream() {
     let (store, clean) = record_workload(&w);
     let (_, report, full) = replay_store(&store);
     assert!(report.is_clean());
-    assert_eq!(full.0, clean, "intact store replays the live stream");
+    assert_eq!(full, clean, "intact store replays the live stream");
 
     let cut = TraceCorruptor::new(3).truncate(&store, HEADER_LEN);
     let (reader, report, prefix) = replay_store(&cut);
     assert!(reader.info().recovered_index);
     assert!(report.is_clean());
-    let n = prefix.0.len();
-    assert!(n <= full.0.len());
+    let n = prefix.len();
+    assert!(n <= full.len());
     assert_eq!(n as u64, reader.info().events);
     assert_eq!(
-        prefix.0[..],
-        full.0[..n],
+        prefix[..],
+        full[..n],
         "prefix diverged from the intact stream"
     );
 }
