@@ -8,9 +8,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spm_cache::{Cache, CacheConfig};
 use spm_core::predict::{MarkovPredictor, PhasePredictor};
-use spm_core::{select_markers, CallLoopProfiler, SelectConfig};
+use spm_core::{select_markers, CallLoopProfiler, MarkerRuntime, SelectConfig};
 use spm_reuse::{detect_boundaries, sequitur, ReuseTracker};
-use spm_sim::run;
+use spm_sim::{run, TraceEvent, TraceObserver};
 use spm_simpoint::kmeans;
 use spm_store::{StoreReader, StoreWriter};
 use spm_workloads::build;
@@ -26,6 +26,52 @@ fn bench_callloop_profile(c: &mut Criterion) {
             let mut profiler = CallLoopProfiler::new();
             run(&w.program, &w.train_input, &mut [&mut profiler]).unwrap();
             profiler.into_graph().unwrap().edges().len()
+        })
+    });
+    group.finish();
+}
+
+/// gcc `ref` (the most calls and loop iterations of the suite),
+/// recorded once so the observer benchmarks below time no engine work.
+fn gcc_ref_tape() -> Vec<(u64, TraceEvent)> {
+    let w = build("gcc").expect("gcc");
+    let mut tape = Vec::new();
+    run(&w.program, &w.ref_input, &mut [&mut tape]).unwrap();
+    tape
+}
+
+/// Delivers `tape` the way the engine does: in batches of 1024 events.
+fn feed(tape: &[(u64, TraceEvent)], observer: &mut dyn TraceObserver) {
+    for batch in tape.chunks(1024) {
+        observer.on_batch(batch);
+    }
+}
+
+fn bench_observers_from_tape(c: &mut Criterion) {
+    let tape = gcc_ref_tape();
+    let mut profiler = CallLoopProfiler::new();
+    feed(&tape, &mut profiler);
+    let graph = profiler.into_graph().unwrap();
+    let markers = select_markers(&graph, &SelectConfig::new(10_000)).markers;
+
+    let mut group = c.benchmark_group("callloop");
+    group.throughput(Throughput::Elements(tape.len() as u64));
+    group.bench_function("profile_gcc_ref_tape", |b| {
+        b.iter(|| {
+            let mut profiler = CallLoopProfiler::new();
+            feed(&tape, &mut profiler);
+            profiler.into_graph().unwrap().edges().len()
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("markers");
+    group.throughput(Throughput::Elements(tape.len() as u64));
+    group.bench_function("runtime_gcc_ref_tape", |b| {
+        b.iter(|| {
+            let mut runtime = MarkerRuntime::new(&markers);
+            feed(&tape, &mut runtime);
+            runtime.into_firings().len()
         })
     });
     group.finish();
@@ -196,6 +242,7 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_callloop_profile,
+        bench_observers_from_tape,
         bench_marker_selection,
         bench_sequitur,
         bench_reuse_distance,

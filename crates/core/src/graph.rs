@@ -246,7 +246,13 @@ impl CallLoopGraph {
     /// hierarchical instruction count, creating the edge on first use.
     pub fn record_traversal(&mut self, from: NodeId, to: NodeId, hier_instrs: u64) {
         let edge_id = self.intern_edge(from, to);
-        self.edges[edge_id.index()].stats.push(hier_instrs as f64);
+        self.record_on(edge_id, hier_instrs);
+    }
+
+    /// [`record_traversal`](Self::record_traversal) on an edge that
+    /// already exists, without the `(from, to)` lookup.
+    pub(crate) fn record_on(&mut self, edge: EdgeId, hier_instrs: u64) {
+        self.edges[edge.index()].stats.push(hier_instrs as f64);
     }
 
     /// Merges pre-accumulated statistics into the edge `from -> to`,
@@ -257,7 +263,9 @@ impl CallLoopGraph {
         self.edges[edge_id.index()].stats.merge(stats);
     }
 
-    fn intern_edge(&mut self, from: NodeId, to: NodeId) -> EdgeId {
+    /// The edge `from -> to`, created (with empty statistics) on first
+    /// use.
+    pub(crate) fn intern_edge(&mut self, from: NodeId, to: NodeId) -> EdgeId {
         match self.edge_index.get(&(from, to)) {
             Some(&e) => e,
             None => {

@@ -78,6 +78,8 @@ pub mod error;
 pub mod graph;
 pub mod incremental;
 pub mod marker;
+#[cfg(test)]
+mod oracle;
 pub mod predict;
 pub mod profile;
 pub mod select;

@@ -139,6 +139,10 @@ enum ContextFrame {
         id: LoopId,
         in_iteration: bool,
         iters: u64,
+        /// The marker on this loop's `head -> body` edge and its
+        /// merged-iteration marker, resolved once at `LoopEnter`.
+        iter_marker: Option<usize>,
+        group: Option<(u64, usize)>,
     },
 }
 
@@ -148,7 +152,8 @@ enum ContextFrame {
 /// corresponds to instrumentation inserted at call sites and loop
 /// branches, and firing requires no hardware support. The runtime tracks
 /// only the current call/loop context (a shadow stack), so detecting
-/// markers is O(1) per control-flow event.
+/// markers is O(1) per control-flow event; a loop's own markers are
+/// resolved once per entry, so its iterations need no lookup.
 #[derive(Debug, Clone)]
 pub struct MarkerRuntime<'m> {
     markers: &'m MarkerSet,
@@ -219,22 +224,37 @@ impl TraceObserver for MarkerRuntime<'_> {
                     id: loop_id,
                     in_iteration: false,
                     iters: 0,
+                    iter_marker: self
+                        .markers
+                        .edge_marker(NodeKey::LoopHead(loop_id), NodeKey::LoopBody(loop_id)),
+                    group: self.markers.group_marker(loop_id),
                 });
             }
             TraceEvent::LoopIter { loop_id } => {
-                self.check_edge(
-                    icount,
-                    NodeKey::LoopHead(loop_id),
-                    NodeKey::LoopBody(loop_id),
-                );
-                let group = self.markers.group_marker(loop_id);
+                let (iter_marker, group) = match self.stack.last() {
+                    Some(ContextFrame::Loop {
+                        id,
+                        iter_marker,
+                        group,
+                        ..
+                    }) if *id == loop_id => (*iter_marker, *group),
+                    // A damaged stream: the innermost frame is another
+                    // loop, or no loop at all.
+                    _ => (
+                        self.markers
+                            .edge_marker(NodeKey::LoopHead(loop_id), NodeKey::LoopBody(loop_id)),
+                        self.markers.group_marker(loop_id),
+                    ),
+                };
+                if let Some(marker) = iter_marker {
+                    self.firings.push(MarkerFiring { icount, marker });
+                }
                 if let Some(ContextFrame::Loop {
-                    id,
                     in_iteration,
                     iters,
+                    ..
                 }) = self.stack.last_mut()
                 {
-                    debug_assert_eq!(*id, loop_id, "loop context corrupted");
                     if let Some((g, marker)) = group {
                         if *iters % g.max(1) == 0 {
                             self.firings.push(MarkerFiring { icount, marker });
@@ -516,6 +536,77 @@ mod tests {
         });
         assert_eq!(c, 1);
         assert_eq!(set.group_marker(LoopId(0)), Some((4, 1)));
+    }
+
+    #[test]
+    fn damaged_loop_streams_do_not_panic() {
+        // Mismatched (an iteration of L2 inside L1), duplicated (L2's
+        // entry) and dropped (an iteration with no loop open) loop events,
+        // as a replay with skipped blocks can deliver them.
+        let (l1, l2) = (LoopId(1), LoopId(2));
+        let events = [
+            TraceEvent::LoopEnter { loop_id: l1 },
+            TraceEvent::LoopIter { loop_id: l2 },
+            TraceEvent::LoopIter { loop_id: l1 },
+            TraceEvent::LoopIter { loop_id: l1 },
+            TraceEvent::LoopEnter { loop_id: l2 },
+            TraceEvent::LoopEnter { loop_id: l2 },
+            TraceEvent::LoopIter { loop_id: l2 },
+            TraceEvent::LoopExit { loop_id: l2 },
+            TraceEvent::LoopIter { loop_id: l1 },
+            TraceEvent::LoopExit { loop_id: l2 },
+            TraceEvent::LoopExit { loop_id: l1 },
+            TraceEvent::LoopIter { loop_id: l1 },
+            TraceEvent::Finish,
+        ];
+        let markers: MarkerSet = [
+            Marker::Edge {
+                from: NodeKey::LoopHead(l2),
+                to: NodeKey::LoopBody(l2),
+            },
+            Marker::LoopGroup {
+                loop_id: l1,
+                group: 2,
+            },
+            Marker::LoopGroup {
+                loop_id: l2,
+                group: 1,
+            },
+        ]
+        .into_iter()
+        .collect();
+        let mut runtime = MarkerRuntime::new(&markers);
+        let mut profiler = crate::CallLoopProfiler::lenient();
+        for (i, event) in events.iter().enumerate() {
+            runtime.on_event(i as u64 * 10, event);
+            profiler.on_event(i as u64 * 10, event);
+        }
+        // A mismatched iteration fires its own loop's markers and counts
+        // on the innermost loop frame (L2's group at 10, L1's at 80); one
+        // with no loop open fires nothing.
+        let fired: Vec<(u64, usize)> = runtime
+            .into_firings()
+            .iter()
+            .map(|f| (f.icount, f.marker))
+            .collect();
+        assert_eq!(
+            fired,
+            [(10, 0), (10, 2), (30, 1), (60, 0), (60, 2), (80, 1)]
+        );
+
+        assert_eq!(profiler.fault(), None);
+        assert_eq!(
+            profiler.dangling_frames(),
+            1,
+            "the last iteration never closes"
+        );
+        let graph = profiler.into_graph().unwrap();
+        let count = |l: LoopId| {
+            let head = graph.node_by_key(NodeKey::LoopHead(l)).unwrap();
+            let body = graph.node_by_key(NodeKey::LoopBody(l)).unwrap();
+            graph.edge_between(head, body).unwrap().count()
+        };
+        assert_eq!((count(l1), count(l2)), (3, 2));
     }
 
     #[test]

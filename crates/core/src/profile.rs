@@ -2,7 +2,7 @@
 //! ATOM profiling run).
 
 use crate::error::{FrameLabel, ProfileError};
-use crate::graph::{CallLoopGraph, NodeId, NodeKey};
+use crate::graph::{CallLoopGraph, EdgeId, NodeId, NodeKey};
 use spm_sim::{TraceEvent, TraceObserver};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,8 +29,15 @@ struct Frame {
     kind: FrameKind,
     from: NodeId,
     to: NodeId,
+    /// The edge `from -> to` once it exists: set on a loop-body frame
+    /// that continues the previous iteration's, so closing it needs no
+    /// lookup.
+    edge: Option<EdgeId>,
     start: u64,
 }
+
+// `IncrementalSelector::mem_estimate` charges 40 bytes per open frame.
+const _: () = assert!(std::mem::size_of::<Frame>() <= 40);
 
 /// Trace observer that constructs the [`CallLoopGraph`] of one execution.
 ///
@@ -183,31 +190,36 @@ impl CallLoopProfiler {
             kind,
             from,
             to,
+            edge: None,
             start,
         });
     }
 
-    /// Closes the innermost frame, which must be of `kind`; on
-    /// mismatch records the corruption (keeping the frame intact so
-    /// later events keep some context) and returns without recording a
-    /// traversal.
-    fn pop(&mut self, kind: FrameKind, icount: u64) {
+    /// Closes the innermost frame, which must be of `kind`, and returns
+    /// it with its edge set (the edge is created on its first close).
+    /// On mismatch records the corruption (keeping the frame intact so
+    /// later events keep some context) and returns `None` without
+    /// recording a traversal.
+    fn pop(&mut self, kind: FrameKind, icount: u64) -> Option<Frame> {
         match self.stack.last() {
             Some(frame) if frame.kind == kind => {
-                let frame = *frame;
+                let mut frame = *frame;
                 self.stack.pop();
-                self.graph.record_traversal(
-                    frame.from,
-                    frame.to,
-                    icount.saturating_sub(frame.start),
-                );
+                let edge = match frame.edge {
+                    Some(edge) => edge,
+                    None => self.graph.intern_edge(frame.from, frame.to),
+                };
+                self.graph
+                    .record_on(edge, icount.saturating_sub(frame.start));
+                frame.edge = Some(edge);
+                Some(frame)
             }
             found => {
                 if self.lenient {
                     // The matching open was lost (skipped block):
                     // drop the close, keep the stack as-is.
                     self.tolerated += 1;
-                    return;
+                    return None;
                 }
                 let found = found.map(|f| f.kind.label());
                 self.poison(ProfileError::MismatchedFrame {
@@ -215,6 +227,7 @@ impl CallLoopProfiler {
                     found,
                     at_event: self.events.saturating_sub(1),
                 });
+                None
             }
         }
     }
@@ -247,16 +260,30 @@ impl TraceObserver for CallLoopProfiler {
                 self.push(FrameKind::LoopHead, ctx, head, icount);
             }
             TraceEvent::LoopIter { loop_id } => {
-                if self
+                let closed = if self
                     .stack
                     .last()
                     .is_some_and(|f| f.kind == FrameKind::LoopBody)
                 {
-                    self.pop(FrameKind::LoopBody, icount);
+                    self.pop(FrameKind::LoopBody, icount)
+                } else {
+                    None
+                };
+                match closed {
+                    // The previous iteration of this loop: the next one
+                    // traverses the same `head -> body` edge.
+                    Some(frame) if self.graph.node(frame.to).key == NodeKey::LoopBody(loop_id) => {
+                        self.stack.push(Frame {
+                            start: icount,
+                            ..frame
+                        });
+                    }
+                    _ => {
+                        let head = self.graph.intern(NodeKey::LoopHead(loop_id));
+                        let body = self.graph.intern(NodeKey::LoopBody(loop_id));
+                        self.push(FrameKind::LoopBody, head, body, icount);
+                    }
                 }
-                let head = self.graph.intern(NodeKey::LoopHead(loop_id));
-                let body = self.graph.intern(NodeKey::LoopBody(loop_id));
-                self.push(FrameKind::LoopBody, head, body, icount);
             }
             TraceEvent::LoopExit { .. } => {
                 if self

@@ -6,6 +6,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spm_ir::{AccessPattern, Block, Cond, Input, Program, Stmt, Trip};
 use std::fmt;
+use std::time::Instant;
 
 /// Maximum procedure-call nesting depth. Calls beyond this depth are
 /// skipped (and counted in [`RunSummary::truncated_calls`]) so that
@@ -108,6 +109,7 @@ pub fn run(
 ) -> Result<RunSummary, RunError> {
     let mut span = spm_obs::span("sim/run");
     let mut engine = Engine::new(program, input, observers)?;
+    engine.observers_ns = span.is_live().then_some(0);
     engine.exec_stmts(&program.proc(program.entry()).body, 0);
     engine.emit(TraceEvent::Finish);
     engine.flush();
@@ -115,6 +117,9 @@ pub fn run(
         span.field("program", program.name());
         span.field("instrs", engine.summary.instrs);
         span.field("events", engine.events);
+        if let Some(ns) = engine.observers_ns {
+            span.field("observers_ns", ns);
+        }
         let secs = span.elapsed().as_secs_f64();
         if secs > 0.0 {
             spm_obs::gauge("sim/events_per_sec", engine.events as f64 / secs);
@@ -142,6 +147,9 @@ struct Engine<'p, 'o, 'b> {
     branch_execs: Vec<u64>,
     /// Trace events emitted so far (observability only).
     events: u64,
+    /// Time spent in the observers' `on_batch`, kept (and the clock
+    /// read) only while the `sim/run` span is live.
+    observers_ns: Option<u64>,
     summary: RunSummary,
 }
 
@@ -203,6 +211,7 @@ impl<'p, 'o, 'b> Engine<'p, 'o, 'b> {
             cursor_base,
             branch_execs: vec![0; program.branch_count()],
             events: 0,
+            observers_ns: None,
             summary: RunSummary::default(),
         })
     }
@@ -216,13 +225,19 @@ impl<'p, 'o, 'b> Engine<'p, 'o, 'b> {
     }
 
     /// Delivers the buffered events to every observer (if any are
-    /// buffered).
+    /// buffered). Kept out of line: it runs once per [`BATCH`] events,
+    /// and inlining it at every `emit` site bloats the interpreter loop.
+    #[inline(never)]
     fn flush(&mut self) {
         if self.batch.is_empty() {
             return;
         }
+        let start = self.observers_ns.is_some().then(Instant::now);
         for obs in self.observers.iter_mut() {
             obs.on_batch(&self.batch);
+        }
+        if let (Some(start), Some(ns)) = (start, self.observers_ns.as_mut()) {
+            *ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
         self.batch.clear();
     }
@@ -650,6 +665,44 @@ mod tests {
             );
             assert_eq!(addr % 8, 0, "addresses are 8-byte aligned");
         }
+    }
+
+    #[test]
+    fn traced_runs_report_observer_time() {
+        let mut b = ProgramBuilder::new("observer-time");
+        b.proc("main", |p| {
+            p.loop_(Trip::Fixed(3_000), |body| {
+                body.block(4).done();
+            });
+        });
+        let program = b.build("main").unwrap();
+        let mut events = 0u64;
+        let mut count = |_: u64, _: &TraceEvent| events += 1;
+        let sink = std::sync::Arc::new(spm_obs::MemorySink::new());
+        spm_obs::install(sink.clone());
+        run(&program, &Input::new("x", 1), &mut [&mut count]).unwrap();
+        spm_obs::uninstall();
+        // Other tests' spans may land in the process-wide sink too.
+        let span = sink
+            .events()
+            .into_iter()
+            .find(|e| {
+                e.name == "sim/run"
+                    && e.field("program") == Some(&spm_obs::Value::Str("observer-time".into()))
+            })
+            .expect("the run's span");
+        let spm_obs::EventKind::Span { dur_us } = span.kind else {
+            panic!("sim/run is a span: {span:?}");
+        };
+        let Some(&spm_obs::Value::U64(observers_ns)) = span.field("observers_ns") else {
+            panic!("no observers_ns field: {span:?}");
+        };
+        assert!(observers_ns > 0, "{events} events were observed");
+        // `dur_us` is truncated to whole microseconds.
+        assert!(
+            observers_ns < (dur_us + 1) * 1_000,
+            "{observers_ns} ns > {dur_us} us"
+        );
     }
 
     #[test]
