@@ -341,3 +341,94 @@ fn corpus_usage_errors_exit_2() {
         );
     }
 }
+
+/// The committed figure-suite report, the artifact `corpus add
+/// --bench-report` ingests.
+fn committed_bench_report() -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_report.json");
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing committed report {}: {e}", path.display()))
+}
+
+/// Ingests one bench report as an `all_figures` suite run.
+fn add_bench_report(dir: &str, report: &str) -> Output {
+    spm(&[
+        "corpus",
+        "add",
+        "--dir",
+        dir,
+        "--workload",
+        "bench-suite",
+        "--label",
+        "all_figures",
+        "--bench-report",
+        report,
+    ])
+}
+
+#[test]
+fn bench_reports_trend_through_the_corpus() {
+    let work = TempDir::new("bench");
+    let dir = work.join("corpus");
+    let text = committed_bench_report();
+
+    // A second build's report: the same suite with fig04's median one
+    // microsecond slower (still below its total, so it validates).
+    let line = text
+        .lines()
+        .find(|l| l.contains("\"name\": \"fig04\""))
+        .expect("fig04 row");
+    let median: u64 = line
+        .split("\"median_us\": ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|v| v.parse().ok())
+        .expect("fig04 median_us");
+    let slower = text.replacen(
+        &format!("\"median_us\": {median},"),
+        &format!("\"median_us\": {},", median + 1),
+        1,
+    );
+    assert_ne!(slower, text);
+
+    let first = work.join("first.json");
+    let second = work.join("second.json");
+    std::fs::write(&first, &text).expect("write report");
+    std::fs::write(&second, &slower).expect("write report");
+    for report in [&first, &second] {
+        let out = add_bench_report(&dir, report);
+        assert!(
+            out.status.success(),
+            "ingest {report}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    let trajectory = ok(&["corpus", "query", "trajectory", "--dir", &dir]);
+    assert!(trajectory.contains("2 bench report(s)"), "{trajectory}");
+    assert!(
+        trajectory.contains(&format!(
+            "figure fig04: median_us {median} {}\n",
+            median + 1
+        )),
+        "{trajectory}"
+    );
+    assert!(
+        trajectory.contains("decoder store-batch: events/sec "),
+        "{trajectory}"
+    );
+
+    // A report from the previous schema is refused on ingest with a
+    // typed error, and the corpus keeps only the two valid reports.
+    let stale = work.join("stale.json");
+    let tag = format!("\"{}\"", spm_report::bench::BENCH_REPORT_SCHEMA);
+    assert!(text.contains(&tag), "committed report is not current");
+    std::fs::write(&stale, text.replace(&tag, "\"spm-bench/report/v7\"")).expect("write report");
+    let out = add_bench_report(&dir, &stale);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(9), "{stderr}");
+    assert!(stderr.starts_with("error[analysis]: "), "{stderr}");
+    assert!(stderr.contains("spm-bench/report/v7"), "{stderr}");
+    let trajectory = ok(&["corpus", "query", "trajectory", "--dir", &dir]);
+    assert!(trajectory.contains("2 bench report(s)"), "{trajectory}");
+}

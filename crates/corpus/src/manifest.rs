@@ -39,7 +39,7 @@ pub enum ArtifactKind {
     Markers,
     /// A phase-partition table (`begin\tend\tphase\t...` TSV).
     Partition,
-    /// An `all_figures` bench report (`spm-bench/report/v7`).
+    /// An `all_figures` bench report (`spm-bench/report/v8`).
     BenchReport,
 }
 
